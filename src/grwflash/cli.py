@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, astuple, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -98,11 +98,21 @@ def _manifest(config: ExperimentConfig, subcommand, flags, outputs,
     )
 
 
-def _csv_header(fh, config: ExperimentConfig, master_seed=None) -> None:
-    line = f"# params_hash={params_hash(config.params, config.grid)}"
+def _write_csv(path, config: ExperimentConfig, columns, rows,
+               master_seed=None) -> None:
+    """Params-hash header, column line, then one line per row.
+
+    Each cell is written as the repr of a Python int or float, so callers
+    pass Python scalars (``.tolist()``, ``float()``), never numpy scalars.
+    """
+    header = f"# params_hash={params_hash(config.params, config.grid)}"
     if master_seed is not None:
-        line += f" master_seed={master_seed}"
-    fh.write(line + "\n")
+        header += f" master_seed={master_seed}"
+    line = ",".join(["%r"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + ",".join(columns) + "\n")
+        for row in rows:
+            fh.write(line % row)
 
 
 def _initial_state(config: ExperimentConfig, section: dict):
@@ -140,16 +150,6 @@ def _evolution_config(section: dict, config: ExperimentConfig) -> EvolutionConfi
     )
 
 
-def _write_flash_csv(path, config, master_seed, flashes, dim) -> None:
-    cols = ["time", "particle"] + ["x", "y", "z"][:dim]
-    with open(path, "w") as fh:
-        _csv_header(fh, config, master_seed)
-        fh.write(",".join(cols) + "\n")
-        for f in flashes:
-            cells = [repr(f.time), str(f.particle)] + [repr(c) for c in f.position]
-            fh.write(",".join(cells) + "\n")
-
-
 def _cmd_trajectory(config, args, out_dir):
     sec = dict(config.section("trajectory"))
     if args.seed is not None:
@@ -159,8 +159,10 @@ def _cmd_trajectory(config, args, out_dir):
     traj = run_trajectory(psi0, config.params, evo, sec["seed"], sec["master_seed"])
     flash_path = os.path.join(out_dir, "flashes.csv")
     state_path = os.path.join(out_dir, "final_state.grws")
-    _write_flash_csv(flash_path, config, sec["master_seed"], traj.flashes,
-                     config.grid.dim)
+    _write_csv(flash_path, config,
+               ["time", "particle"] + ["x", "y", "z"][:config.grid.dim],
+               [(f.time, f.particle, *f.position) for f in traj.flashes],
+               sec["master_seed"])
     save_state(traj.final_state, state_path)
     manifest = _manifest(config, "trajectory", vars(args),
                          [flash_path, state_path],
@@ -184,15 +186,17 @@ def _cmd_ensemble(config, args, out_dir):
         workers=args.threads, batch_size=sec["batch_size"],
     )
     rho_path = os.path.join(out_dir, "density_matrix.csv")
-    with open(rho_path, "w") as fh:
-        _csv_header(fh, config, sec["master_seed"])
-        fh.write("i,j,re,im,std_error\n")
-        ent = result.rho.entries
-        se = result.entry_se
-        for i in range(ent.shape[0]):
-            for j in range(ent.shape[1]):
-                fh.write(f"{i},{j},{ent[i, j].real!r},{ent[i, j].imag!r},"
-                         f"{se[i, j]!r}\n")
+    ent, se = result.rho.entries, result.entry_se
+    # One matrix row at a time: a b x b table as Python floats would not fit
+    # in the memory the ensemble itself needs.
+    rows = (
+        (i, j, re, im, e)
+        for i in range(ent.shape[0])
+        for j, re, im, e in zip(range(ent.shape[1]), ent[i].real.tolist(),
+                                ent[i].imag.tolist(), se[i].tolist())
+    )
+    _write_csv(rho_path, config, ["i", "j", "re", "im", "std_error"], rows,
+               sec["master_seed"])
     stats_path = os.path.join(out_dir, "ensemble_report.json")
     counts = result.flash_counts
     with open(stats_path, "w") as fh:
@@ -251,12 +255,11 @@ def _cmd_kernel(config, args, out_dir):
     rel_tol = args.tolerance if args.tolerance is not None else sec["rel_tol"]
     spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=sec["abs_tol"])
     path = os.path.join(out_dir, "kernel.csv")
-    with open(path, "w") as fh:
-        _csv_header(fh, config)
-        fh.write("separation,re,im,error\n")
-        for s in sec["separations"]:
-            pt = gamma_at_separation(s, config.params, spec)
-            fh.write(f"{s!r},{pt.value.real!r},{pt.value.imag!r},{pt.error!r}\n")
+    points = [gamma_at_separation(s, config.params, spec)
+              for s in sec["separations"]]
+    _write_csv(path, config, ["separation", "re", "im", "error"],
+               [(s, float(pt.value.real), float(pt.value.imag), float(pt.error))
+                for s, pt in zip(sec["separations"], points)])
     manifest = _manifest(config, "kernel", vars(args), [path])
     manifest.write(os.path.join(out_dir, "manifest.json"))
     print(f"kernel table for {len(sec['separations'])} separations in {out_dir}")
@@ -268,11 +271,9 @@ def _cmd_slope(config, args, out_dir):
     tol = args.tolerance if args.tolerance is not None else sec["tolerance"]
     fit = short_distance_rate(config.params, sec["separations"], tolerance=tol)
     path = os.path.join(out_dir, "slope.csv")
-    with open(path, "w") as fh:
-        _csv_header(fh, config)
-        fh.write("separation,excess_rate,error\n")
-        for s, v, e in zip(fit.separations, fit.excess, fit.errors):
-            fh.write(f"{s!r},{v!r},{e!r}\n")
+    _write_csv(path, config, ["separation", "excess_rate", "error"],
+               zip(fit.separations.tolist(), fit.excess.tolist(),
+                   fit.errors.tolist()))
     report_path = os.path.join(out_dir, "slope_report.json")
     with open(report_path, "w") as fh:
         json.dump({
@@ -294,12 +295,9 @@ def _cmd_potential(config, args, out_dir):
     sec = config.section("potential")
     rows = effective_potential_check(sec["d_values"], config.params)
     path = os.path.join(out_dir, "potential.csv")
-    with open(path, "w") as fh:
-        _csv_header(fh, config)
-        fh.write("d,quadrature,closed_form,rel_error,newton_deviation\n")
-        for r in rows:
-            fh.write(f"{r.d!r},{r.quadrature!r},{r.closed_form!r},"
-                     f"{r.rel_error!r},{r.newton_deviation!r}\n")
+    _write_csv(path, config,
+               ["d", "quadrature", "closed_form", "rel_error", "newton_deviation"],
+               [tuple(map(float, astuple(r))) for r in rows])
     manifest = _manifest(config, "potential", vars(args), [path])
     manifest.write(os.path.join(out_dir, "manifest.json"))
     onset = [r.d for r in rows if r.newton_deviation > 0.01]
@@ -315,12 +313,11 @@ def _cmd_scan(config, args, out_dir):
         config.params, tolerance=tol,
     )
     path = os.path.join(out_dir, "scan.csv")
-    with open(path, "w") as fh:
-        _csv_header(fh, config)
-        fh.write("lambda,total_rate,intrinsic,excess,excess_error\n")
-        for row in zip(result.lambda_grid, result.rates, result.intrinsic,
-                       result.excess, result.excess_errors):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, config,
+               ["lambda", "total_rate", "intrinsic", "excess", "excess_error"],
+               zip(result.lambda_grid.tolist(), result.rates.tolist(),
+                   result.intrinsic.tolist(), result.excess.tolist(),
+                   result.excess_errors.tolist()))
     manifest = _manifest(config, "scan", vars(args), [path])
     manifest.write(os.path.join(out_dir, "manifest.json"))
     print(f"falsifiability scan over {len(result.lambda_grid)} rates in {out_dir}")

@@ -93,7 +93,6 @@ SCHEMA = {
         "total_time": ("float", 2.0),
         "softening": ("float", None),
         "se_limit": ("float", 0.02),
-        "batch_size": ("int", 64),
         "packet_center": ("float_list", (0.0,)),
         "packet_width": ("float_list", (1.0,)),
         "state_file": ("str", None),

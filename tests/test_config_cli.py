@@ -29,6 +29,15 @@ def write(tmp_path, text, name="run.cfg"):
     return path
 
 
+def assert_plain_numbers(csv_path):
+    """Every data cell of a CLI CSV is a plain number, never a numpy repr."""
+    text = csv_path.read_text()
+    assert "np." not in text
+    for line in text.splitlines()[2:]:
+        for cell in line.split(","):
+            float(cell)
+
+
 def test_minimal_config_fills_defaults(tmp_path):
     cfg = load_config(write(tmp_path, MINIMAL))
     assert cfg.params.lam == 1.0
@@ -44,6 +53,9 @@ def test_unknown_key_is_named(tmp_path):
     bad = MINIMAL.replace("lambda = 1.0", "lamda = 1.0")
     with pytest.raises(ConfigError, match="lamda"):
         load_config(write(tmp_path, bad))
+    # verify always reduces in batches of 64; it takes no batch_size key
+    with pytest.raises(ConfigError, match="batch_size"):
+        load_config(write(tmp_path, MINIMAL + "\n[verify]\nbatch_size = 8\n"))
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -154,6 +166,7 @@ def test_cli_ensemble(tmp_path):
     lines = (out / "density_matrix.csv").read_text().splitlines()
     assert lines[1] == "i,j,re,im,std_error"
     assert len(lines) == 2 + 48 * 48
+    assert_plain_numbers(out / "density_matrix.csv")
 
 
 def test_cli_verify_pass_and_fail(tmp_path):
@@ -212,6 +225,9 @@ tolerance = 1e-3
     assert slope_report["r_squared"] > 0.99
     scan = (tmp_path / "scan" / "scan.csv").read_text().splitlines()
     assert scan[1] == "lambda,total_rate,intrinsic,excess,excess_error"
+    for sub, name in [("kernel", "kernel.csv"), ("slope", "slope.csv"),
+                      ("potential", "potential.csv"), ("scan", "scan.csv")]:
+        assert_plain_numbers(tmp_path / sub / name)
 
 
 def test_cli_out_dir_env_var(tmp_path, monkeypatch):

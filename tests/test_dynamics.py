@@ -9,6 +9,7 @@ from grwflash.collapse import FlashClock, apply_collapse, next_flash, sample_fla
 from grwflash.dynamics import (
     EvolutionConfig,
     FreeHamiltonian,
+    StepControlError,
     ensemble_vs_master_check,
     exact_diagonal_solution,
     flash_kernel_matrices,
@@ -342,6 +343,49 @@ def test_master_evolve_matches_exact_diagonal_solution():
     assert not numeric.validate()
 
 
+def test_master_evolve_exact_for_any_particle_count():
+    # H0 = 0: master_evolve returns exp(T Q) o rho0; a fine RK4 loop on
+    # master_generator must reach the same state for two particles
+    # a 12 r_C box: on a much smaller one the wrapped kernel's lost Gaussian
+    # tail, erfc(L / 2 r_C), trips the 1e-8 trace guard
+    grid = GridSpec(1, 16, 0.75, (-6.0,))
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 1.0))
+    rng = np.random.default_rng(11)
+    amps = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho0 = pure_density(normalize(WaveFunction(grid, 2, amps)))
+    cfg = EvolutionConfig(total_time=0.5)
+    kernels = flash_kernel_matrices(grid, params, softening=grid.spacing / 2)
+
+    def generator(entries):
+        return master_generator(rho0.with_entries(entries), params, cfg, kernels)
+
+    n_steps = 200
+    h = cfg.total_time / n_steps
+    ent = rho0.entries
+    for _ in range(n_steps):
+        k1 = generator(ent)
+        k2 = generator(ent + h / 2 * k1)
+        k3 = generator(ent + h / 2 * k2)
+        k4 = generator(ent + h * k3)
+        ent = ent + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    exact = master_evolve(rho0, params, cfg)
+    scale = np.max(np.abs(rho0.entries))
+    assert np.max(np.abs(exact.entries - ent)) < 1e-8 * scale
+    # the evolution visibly decoheres, so the comparison is not trivial
+    assert np.max(np.abs(exact.entries - rho0.entries)) > 0.1 * scale
+
+    # one particle: the same path is the closed-form reference
+    one = dimensionless_params(lam=1.0, r_G=0.3)
+    rho1 = pure_density(packet())
+    k = flash_kernel_matrices(GRID, one, softening=GRID.spacing / 2)[0]
+    assert np.max(np.abs(
+        master_evolve(rho1, one, EvolutionConfig(total_time=2.0)).entries
+        - exact_diagonal_solution(rho1, k, one.lam, 2.0).entries
+    )) < 1e-12
+
+
 def test_master_evolve_unitary_limit_conserves_purity():
     # collapse rate so small the dissipator is numerically absent
     grid = GridSpec.centered(1, 32, 0.4)
@@ -360,6 +404,14 @@ def test_master_evolve_zero_time_is_identity():
     rho0 = pure_density(packet())
     out = master_evolve(rho0, params, EvolutionConfig(total_time=0.0))
     assert np.array_equal(out.entries, rho0.entries)
+
+
+def test_master_evolve_guard_rejects_non_hermitian_result():
+    params = dimensionless_params(lam=1.0, r_G=0.3)
+    rho0 = pure_density(packet())
+    skew = rho0.with_entries(rho0.entries + 1e-6j * np.eye(GRID.basis_size, k=1))
+    with pytest.raises(StepControlError, match="hermiticity"):
+        master_evolve(skew, params, EvolutionConfig(total_time=1.0))
 
 
 def test_master_evolve_positivity_witness():
