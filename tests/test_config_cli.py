@@ -190,6 +190,21 @@ def test_cli_verify_pass_and_fail(tmp_path):
     assert json.loads((out2 / "verify_report.json").read_text())["passed"] is False
 
 
+def test_cli_verify_on_8_rc_box(tmp_path):
+    # an 8 r_C box, where the oracle loses ~3e-8 of trace to the wrapped
+    # kernels, still gives a verdict
+    grid = "n_points = 32\nspacing = 0.25"
+    cfg = write(
+        tmp_path,
+        MINIMAL.replace("n_points = 48\nspacing = 0.3", grid)
+        + "\n[verify]\nn_traj = 128\ntotal_time = 2.0\nse_limit = 0.5\n"
+        + "packet_width = 0.75\n",
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "verify"]) == 0
+    assert json.loads((out / "verify_report.json").read_text())["passed"] is True
+
+
 def test_cli_kernel_slope_potential_scan(tmp_path):
     text = MINIMAL + """
 [kernel]

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.stats import chi2, poisson
 
 from grwflash.collapse import FlashClock, apply_collapse, next_flash, sample_flash_position
@@ -346,9 +347,7 @@ def test_master_evolve_matches_exact_diagonal_solution():
 def test_master_evolve_exact_for_any_particle_count():
     # H0 = 0: master_evolve returns exp(T Q) o rho0; a fine RK4 loop on
     # master_generator must reach the same state for two particles
-    # a 12 r_C box: on a much smaller one the wrapped kernel's lost Gaussian
-    # tail, erfc(L / 2 r_C), trips the 1e-8 trace guard
-    grid = GridSpec(1, 16, 0.75, (-6.0,))
+    grid = GridSpec(1, 16, 0.5, (-4.0,))
     params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 1.0))
     rng = np.random.default_rng(11)
     amps = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
@@ -406,12 +405,41 @@ def test_master_evolve_zero_time_is_identity():
     assert np.array_equal(out.entries, rho0.entries)
 
 
-def test_master_evolve_guard_rejects_non_hermitian_result():
+def test_master_evolve_kinetic_rk4_matches_superoperator_exponential():
+    # kinetic H0 with lam = 1: RK4 on master_generator against expm of the
+    # full generator Q o rho - i[H0, rho] acting on the flattened rho
+    grid = GridSpec.centered(1, 24, 0.5)
     params = dimensionless_params(lam=1.0, r_G=0.3)
-    rho0 = pure_density(packet())
-    skew = rho0.with_entries(rho0.entries + 1e-6j * np.eye(GRID.basis_size, k=1))
+    rho0 = pure_density(make_gaussian_packet(grid, 1, [[0.5]], [1.0], [[1.5]]))
+    cfg = EvolutionConfig(
+        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic([1.0])
+    )
+    n = grid.n_points
+    k = 2 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+    h = np.fft.ifft((k**2 / 2)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
+    kern = flash_kernel_matrices(grid, params, softening=grid.spacing / 2)[0]
+    eye = np.eye(n)
+    gen = (np.diag(params.lam * (kern - 1).ravel())
+           - 1j * (np.kron(h, eye) - np.kron(eye, h.T)))
+    ref = (expm(cfg.total_time * gen) @ rho0.entries.ravel()).reshape(n, n)
+    scale = np.max(np.abs(rho0.entries))
+    assert np.max(np.abs(ref - rho0.entries)) > 0.1 * scale
+    # default step, and an explicit finer one
+    for dt in (None, 1e-3):
+        out = master_evolve(rho0, params, cfg, dt=dt)
+        assert np.max(np.abs(out.entries - ref)) < 1e-8 * scale
+
+
+def test_master_evolve_guard_rejects_non_hermitian_result():
+    grid = GridSpec.centered(1, 24, 0.5)
+    params = dimensionless_params(lam=1.0, r_G=0.3)
+    rho0 = pure_density(make_gaussian_packet(grid, 1, [[0.0]], [1.0]))
+    skew = rho0.with_entries(rho0.entries + 1e-6j * np.eye(grid.basis_size, k=1))
+    cfg = EvolutionConfig(
+        total_time=0.2, free_hamiltonian=FreeHamiltonian.kinetic([1.0])
+    )
     with pytest.raises(StepControlError, match="hermiticity"):
-        master_evolve(skew, params, EvolutionConfig(total_time=1.0))
+        master_evolve(skew, params, cfg)
 
 
 def test_master_evolve_positivity_witness():
@@ -474,6 +502,19 @@ def test_self_attraction_probe_zero_gravity():
     res = run_ensemble(psi0, params, EvolutionConfig(total_time=2.0), 512, 31)
     probe = self_attraction_probe(res, psi0)
     assert abs(probe.drift[0]) < 3 * probe.std_error[0]
+
+
+def test_verify_check_runs_on_8_rc_box():
+    # the wrapped kernels lose about 2 erfc(4) = 3.1e-8 of trace over T = 2
+    # on an 8 r_C box; that is the model's, and the oracle keeps it
+    grid = GridSpec.centered(1, 32, 0.25)
+    params = dimensionless_params(lam=1.0, r_G=0.3)
+    report, _, oracle = ensemble_vs_master_check(
+        packet(grid=grid), params, EvolutionConfig(total_time=2.0), 256,
+        master_seed=5, se_limit=0.5,
+    )
+    assert report.passed
+    assert 1e-8 < 1.0 - oracle.trace().real < 1e-7
 
 
 def test_verify_check_passes_and_reports():
