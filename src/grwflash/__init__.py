@@ -31,7 +31,6 @@ from .analysis import (
     smeared_potential_quadrature,
 )
 from .collapse import (
-    FlashClock,
     FlashEvent,
     apply_collapse,
     flash_position_density,

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple
 from datetime import datetime, timezone
 
 import numpy as np
@@ -45,35 +45,14 @@ from .units import (
 ENV_OUT_DIR = "GRWFLASH_OUT_DIR"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written alongside every output file."""
-
-    subcommand: str
-    flags: dict
-    params: dict
-    grid: dict
-    master_seed: int | None
-    n_traj: int | None
-    code_version: str
-    params_hash: str
-    defaults_applied: dict
-    outputs: list
-    created_utc: str
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _manifest(config: ExperimentConfig, subcommand, flags, outputs,
-              master_seed=None, n_traj=None) -> RunManifest:
+def _write_manifest(out_dir, config: ExperimentConfig, args, outputs,
+                    master_seed=None, n_traj=None) -> None:
+    """Write manifest.json, the reproducibility record of one subcommand run."""
     p = config.params
-    return RunManifest(
-        subcommand=subcommand,
-        flags={k: v for k, v in flags.items() if v is not None},
-        params={
+    manifest = {
+        "subcommand": args.subcommand,
+        "flags": {k: v for k, v in vars(args).items() if v is not None},
+        "params": {
             "lambda": p.lam,
             "r_C": p.r_C,
             "G": p.G,
@@ -82,20 +61,23 @@ def _manifest(config: ExperimentConfig, subcommand, flags, outputs,
             "smearing": p.smearing.kind,
             "smearing_width": p.smearing.width,
         },
-        grid={
+        "grid": {
             "dim": config.grid.dim,
             "n_points": config.grid.n_points,
             "spacing": config.grid.spacing,
             "origin": list(config.grid.origin),
         },
-        master_seed=master_seed,
-        n_traj=n_traj,
-        code_version=__version__,
-        params_hash=params_hash(p, config.grid),
-        defaults_applied=config.defaults_applied,
-        outputs=[os.path.basename(str(o)) for o in outputs],
-        created_utc=datetime.now(timezone.utc).isoformat(),
-    )
+        "master_seed": master_seed,
+        "n_traj": n_traj,
+        "code_version": __version__,
+        "params_hash": params_hash(p, config.grid),
+        "defaults_applied": config.defaults_applied,
+        "outputs": [os.path.basename(str(o)) for o in outputs],
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+    }
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_csv(path, config: ExperimentConfig, columns, rows,
@@ -164,10 +146,8 @@ def _cmd_trajectory(config, args, out_dir):
                [(f.time, f.particle, *f.position) for f in traj.flashes],
                sec["master_seed"])
     save_state(traj.final_state, state_path)
-    manifest = _manifest(config, "trajectory", vars(args),
-                         [flash_path, state_path],
-                         master_seed=sec["master_seed"], n_traj=1)
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+    _write_manifest(out_dir, config, args, [flash_path, state_path],
+                    master_seed=sec["master_seed"], n_traj=1)
     print(f"trajectory seed={sec['seed']}: {len(traj.flashes)} flashes, "
           f"outputs in {out_dir}")
     return 0
@@ -209,9 +189,8 @@ def _cmd_ensemble(config, args, out_dir):
             "max_entry_se": float(result.entry_se.max()),
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    manifest = _manifest(config, "ensemble", vars(args), [rho_path, stats_path],
-                         master_seed=sec["master_seed"], n_traj=sec["n_traj"])
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+    _write_manifest(out_dir, config, args, [rho_path, stats_path],
+                    master_seed=sec["master_seed"], n_traj=sec["n_traj"])
     print(f"ensemble n={sec['n_traj']}: mean flash count {counts.mean():.3f}, "
           f"outputs in {out_dir}")
     return 0
@@ -243,9 +222,8 @@ def _cmd_verify(config, args, out_dir):
             "passed": report.passed,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    manifest = _manifest(config, "verify", vars(args), [report_path],
-                         master_seed=sec["master_seed"], n_traj=sec["n_traj"])
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+    _write_manifest(out_dir, config, args, [report_path],
+                    master_seed=sec["master_seed"], n_traj=sec["n_traj"])
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -260,8 +238,7 @@ def _cmd_kernel(config, args, out_dir):
     _write_csv(path, config, ["separation", "re", "im", "error"],
                [(s, float(pt.value.real), float(pt.value.imag), float(pt.error))
                 for s, pt in zip(sec["separations"], points)])
-    manifest = _manifest(config, "kernel", vars(args), [path])
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+    _write_manifest(out_dir, config, args, [path])
     print(f"kernel table for {len(sec['separations'])} separations in {out_dir}")
     return 0
 
@@ -284,8 +261,7 @@ def _cmd_slope(config, args, out_dir):
             "r_squared": fit.r_squared,
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    manifest = _manifest(config, "slope", vars(args), [path, report_path])
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+    _write_manifest(out_dir, config, args, [path, report_path])
     print(f"slope {fit.slope:.6g} vs expected {fit.expected_slope:.6g} "
           f"({100 * fit.rel_deviation:.2f}% off, R^2={fit.r_squared:.6f})")
     return 0
@@ -298,8 +274,7 @@ def _cmd_potential(config, args, out_dir):
     _write_csv(path, config,
                ["d", "quadrature", "closed_form", "rel_error", "newton_deviation"],
                [tuple(map(float, astuple(r))) for r in rows])
-    manifest = _manifest(config, "potential", vars(args), [path])
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+    _write_manifest(out_dir, config, args, [path])
     onset = [r.d for r in rows if r.newton_deviation > 0.01]
     print(f"potential table in {out_dir}; >1% Newton deviation at d = {onset}")
     return 0
@@ -318,8 +293,7 @@ def _cmd_scan(config, args, out_dir):
                zip(result.lambda_grid.tolist(), result.rates.tolist(),
                    result.intrinsic.tolist(), result.excess.tolist(),
                    result.excess_errors.tolist()))
-    manifest = _manifest(config, "scan", vars(args), [path])
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+    _write_manifest(out_dir, config, args, [path])
     print(f"falsifiability scan over {len(result.lambda_grid)} rates in {out_dir}")
     return 0
 

@@ -12,13 +12,15 @@ avoids grid-artifact bias in kernel estimates.
 
 Randomness comes from counter-based Philox streams so runs are bitwise
 reproducible and trivially parallel: stream i of master seed s is
-Philox(key=(s, i)).  Flash waiting times for N particles are exponential
-with total rate N*lam; the flashing particle is uniform.
+Philox(key=(s, i)).  Each trajectory draws its flash waiting times,
+flashing particles and flash positions from one live generator on its own
+stream.  Waiting times for N particles are exponential with total rate
+N*lam; the flashing particle is uniform.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,49 +47,20 @@ def rng_stream(master_seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-@dataclass(frozen=True)
-class FlashClock:
-    """Value-semantics Poisson clock for N independent flash processes.
-
-    Holds the full bit-generator state; :func:`next_flash` never mutates its
-    argument, so replaying from a stored clock reproduces the draw exactly.
-    """
-
-    n_particles: int
-    lam: float
-    rng_state: dict
-
-    def __post_init__(self):
-        if self.n_particles < 1:
-            raise ValueError("need at least one particle")
-        if not self.lam > 0:
-            raise ValueError("flash rate must be positive")
-
-    @staticmethod
-    def from_seed(n_particles: int, lam: float, master_seed: int, stream: int = 0):
-        gen = rng_stream(master_seed, stream)
-        return FlashClock(n_particles, lam, gen.bit_generator.state)
-
-    def generator(self) -> np.random.Generator:
-        """Live generator positioned at this clock's state."""
-        gen = np.random.Generator(np.random.Philox())
-        gen.bit_generator.state = self.rng_state
-        return gen
-
-    def advanced_to(self, gen: np.random.Generator) -> "FlashClock":
-        return replace(self, rng_state=gen.bit_generator.state)
-
-
-def next_flash(clock: FlashClock) -> tuple[float, int, FlashClock]:
-    """Draw (waiting time, flashing particle, advanced clock).
+def next_flash(
+    rng: np.random.Generator, n_particles: int, lam: float
+) -> tuple[float, int]:
+    """Draw (waiting time, flashing particle) from the live generator ``rng``.
 
     Waiting times are exponential with rate N*lam and the particle choice is
     uniform, which together realize N independent rate-lam processes.
     """
-    gen = clock.generator()
-    dt = gen.standard_exponential() / (clock.n_particles * clock.lam)
-    k = int(gen.integers(clock.n_particles))
-    return float(dt), k, clock.advanced_to(gen)
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
+    if not lam > 0:
+        raise ValueError("flash rate must be positive")
+    dt = rng.standard_exponential() / (n_particles * lam)
+    return float(dt), int(rng.integers(n_particles))
 
 
 def collapse_factor(coords: np.ndarray, x_f: np.ndarray, r_C: float) -> np.ndarray:
@@ -102,9 +75,7 @@ def collapse_factor(coords: np.ndarray, x_f: np.ndarray, r_C: float) -> np.ndarr
     return prefactor * out
 
 
-def apply_collapse(
-    psi: WaveFunction, k: int, x_f, r_C: float | None = None
-) -> WaveFunction:
+def apply_collapse(psi: WaveFunction, k: int, x_f, r_C: float) -> WaveFunction:
     """Apply L_k(x_f); the result is intentionally unnormalized.
 
     Its squared norm equals the flash-position density at x_f up to
@@ -121,8 +92,6 @@ def apply_collapse(
             f"flash position {tuple(x_f)} outside the grid extent; "
             "this signals a sampling bug"
         )
-    if r_C is None:
-        raise ValueError("collapse width r_C is required")
     factor = collapse_factor(grid.axes(), x_f, r_C)
     full_shape = [1] * psi.amplitudes.ndim
     for a in psi.particle_axes(k):

@@ -43,6 +43,25 @@ _PARSERS = {
     "float_list": _parse_float_list,
 }
 
+# Keys shared by the run sections, each listed once: every run section takes
+# the run and packet keys; the sections that fly the state also take the
+# flight keys.
+_RUN_KEYS = {
+    "master_seed": ("int", 0),
+    "total_time": ("float", 2.0),
+    "softening": ("float", None),
+}
+_PACKET_KEYS = {
+    "packet_center": ("float_list", (0.0,)),
+    "packet_width": ("float_list", (1.0,)),
+    "state_file": ("str", None),
+}
+_FLIGHT_KEYS = {
+    "dt_free": ("float", 0.05),
+    "hamiltonian": ("str", "none"),
+    "packet_momentum": ("float_list", None),
+}
+
 # section -> key -> (type, default).  None defaults mean "optional".
 SCHEMA = {
     "params": {
@@ -63,39 +82,18 @@ SCHEMA = {
     },
     "trajectory": {
         "seed": ("int", 0),
-        "master_seed": ("int", 0),
-        "total_time": ("float", 2.0),
-        "dt_free": ("float", 0.05),
-        "hamiltonian": ("str", "none"),
         "snapshot_times": ("float_list", ()),
-        "softening": ("float", None),
-        "packet_center": ("float_list", (0.0,)),
-        "packet_width": ("float_list", (1.0,)),
-        "packet_momentum": ("float_list", None),
-        "state_file": ("str", None),
+        **_RUN_KEYS, **_FLIGHT_KEYS, **_PACKET_KEYS,
     },
     "ensemble": {
         "n_traj": ("int", 256),
-        "master_seed": ("int", 0),
-        "total_time": ("float", 2.0),
-        "dt_free": ("float", 0.05),
-        "hamiltonian": ("str", "none"),
-        "softening": ("float", None),
         "batch_size": ("int", 64),
-        "packet_center": ("float_list", (0.0,)),
-        "packet_width": ("float_list", (1.0,)),
-        "packet_momentum": ("float_list", None),
-        "state_file": ("str", None),
+        **_RUN_KEYS, **_FLIGHT_KEYS, **_PACKET_KEYS,
     },
     "verify": {
         "n_traj": ("int", 512),
-        "master_seed": ("int", 0),
-        "total_time": ("float", 2.0),
-        "softening": ("float", None),
         "se_limit": ("float", 0.02),
-        "packet_center": ("float_list", (0.0,)),
-        "packet_width": ("float_list", (1.0,)),
-        "state_file": ("str", None),
+        **_RUN_KEYS, **_PACKET_KEYS,
     },
     "kernel": {
         "separations": ("float_list", (0.5, 1.0, 2.0)),

@@ -33,20 +33,27 @@ B_k operators: oracle comparisons are between identical regularized models.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .collapse import (
-    FlashClock,
     FlashEvent,
     apply_collapse,
     next_flash,
+    rng_stream,
     sample_flash_position,
 )
-from .gravity import apply_gravitational_kick, phase_profile, softened_inverse_distance
+from .gravity import (
+    apply_gravitational_kick,
+    phase_profile,
+    smeared_newton_potential,
+    softened_inverse_distance,
+)
 from .state import (
+    MAX_DENSITY_BASIS,
     DensityMatrix,
     GridSpec,
     NullStateError,
@@ -230,7 +237,7 @@ def run_trajectory(
     total_time = config.total_time
     snap_times = set(config.snapshot_times)
 
-    clock = FlashClock.from_seed(params.n_particles, params.lam, master_seed, seed)
+    rng = rng_stream(master_seed, seed)
     psi = psi0
     t = 0.0
     flashes: list[FlashEvent] = []
@@ -239,7 +246,7 @@ def run_trajectory(
         snapshots.append((0.0, psi))
 
     while True:
-        wait, k, clock = next_flash(clock)
+        wait, k = next_flash(rng, params.n_particles, params.lam)
         t_event = t + wait
         psi = _free_flight(
             psi, config, t, min(t_event, total_time), snap_times, snapshots
@@ -248,9 +255,7 @@ def run_trajectory(
             t = total_time
             break
         t = t_event
-        rng = clock.generator()
         x_f = sample_flash_position(psi, k, rng, params.r_C)
-        clock = clock.advanced_to(rng)
         try:
             psi = normalize(apply_collapse(psi, k, x_f, params.r_C))
         except NullStateError as exc:
@@ -327,13 +332,14 @@ def run_ensemble(
 
     Trajectory i always runs on Philox stream (master_seed, i); reduction
     happens per fixed-size batch and batches are combined in index order,
-    so the result is bitwise independent of the worker count.
+    so the result is bitwise independent of the worker count (0 picks one
+    worker per core; a negative count is an error).
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories")
+    if workers < 0:
+        raise ValueError(f"worker count must be nonnegative, got {workers}")
     b = psi0.grid.basis_size**psi0.n_particles
-    from .state import MAX_DENSITY_BASIS
-
     if b > MAX_DENSITY_BASIS:
         raise ValueError(
             f"state space ({b}) too large for density-matrix accumulation"
@@ -345,8 +351,6 @@ def run_ensemble(
         (psi0, params, config, master_seed, s, e, True) for s, e in bounds
     ]
     if workers == 0:
-        import os
-
         workers = os.cpu_count() or 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -480,8 +484,6 @@ def flash_kernel_matrices(
         if params.smearing.kind == "sharp":
             shape = softened_inverse_distance(dist, softening)
         else:
-            from .gravity import smeared_newton_potential
-
             shape = smeared_newton_potential(dist, params.smearing.width)
 
     kernels = []

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .collapse import FlashEvent
 from .state import GridSpec, WaveFunction
 from .units import PhysicalParams
 
@@ -72,28 +71,24 @@ def smeared_newton_gradient(d, r_C: float):
 
 @dataclass(frozen=True)
 class PhaseProfile:
-    """Phase imprinted by one flash, tabulated per target particle.
+    """Phase imprinted by one flash: one radial profile, one scale per particle.
 
-    ``values[l]`` holds the real phase on particle l's grid (shape
-    (n_points,)*dim).  In sharp mode with zero softening the value at x is
-    exactly r_G(k, l)/|x - x_f| away from the singularity; with a > 0 all
-    values are finite.
+    ``shape`` is the radial profile on a particle grid (shape
+    (n_points,)*dim); particle l picks up the phase ``pair_scales[l] * shape``
+    on its own coordinates.  In sharp mode with zero softening the profile is
+    exactly 1/|x - x_f| away from the singularity; with a > 0 it is finite.
     """
 
-    flash: FlashEvent
+    shape: np.ndarray
     pair_scales: tuple[float, ...]
-    smearing_kind: str
-    softening: float
-    values: tuple[np.ndarray, ...]
 
     def total_phase(self, joint_shape: tuple[int, ...], dim: int) -> np.ndarray:
         """Broadcast sum of per-particle phases over the joint grid."""
         total = np.zeros(joint_shape)
-        for l, vals in enumerate(self.values):
-            shape = [1] * len(joint_shape)
-            for a in range(dim):
-                shape[l * dim + a] = vals.shape[a]
-            total = total + vals.reshape(shape)
+        for l, scale in enumerate(self.pair_scales):
+            view = [1] * len(joint_shape)
+            view[l * dim:(l + 1) * dim] = self.shape.shape
+            total = total + (scale * self.shape).reshape(view)
         return total
 
 
@@ -104,10 +99,11 @@ def phase_profile(
     grid: GridSpec,
     softening: float = 0.0,
 ) -> PhaseProfile:
-    """Phase kick of a flash of particle k at x_f, on every particle's grid.
+    """Phase kick of a flash of particle k at x_f, as a profile and scales.
 
-    Sharp smearing gives r_G(k,l)/sqrt(r^2 + a^2); gaussian smearing of
-    width w gives r_G(k,l) * erf(r/w)/r, already finite at coincidence.
+    The profile is 1/sqrt(r^2 + a^2) for sharp smearing and erf(r/w)/r for
+    gaussian smearing of width w (already finite at coincidence), with r the
+    distance to x_f on the particle grid; particle l's scale is r_G(k, l).
     Sharp mode with a = 0 is refused whenever a grid point coincides with
     x_f (the phase is undefined there) and always in the 1D harness.
     """
@@ -138,15 +134,7 @@ def phase_profile(
         shape = smeared_newton_potential(r, params.smearing.width)
 
     scales = tuple(float(s) for s in params.r_G_matrix()[k])
-    values = tuple(scales[l] * shape for l in range(n))
-    flash = FlashEvent(time=0.0, particle=k, position=tuple(x_f))
-    return PhaseProfile(
-        flash=flash,
-        pair_scales=scales,
-        smearing_kind=kind,
-        softening=softening,
-        values=values,
-    )
+    return PhaseProfile(shape=shape, pair_scales=scales)
 
 
 def apply_gravitational_kick(psi: WaveFunction, profile: PhaseProfile) -> WaveFunction:
@@ -155,10 +143,9 @@ def apply_gravitational_kick(psi: WaveFunction, profile: PhaseProfile) -> WaveFu
     The phase is position-diagonal, so the norm and every position density
     are preserved exactly.
     """
-    if len(profile.values) != psi.n_particles:
+    if len(profile.pair_scales) != psi.n_particles:
         raise ValueError("profile and state disagree on particle count")
-    for vals in profile.values:
-        if vals.shape != (psi.grid.n_points,) * psi.grid.dim:
-            raise ValueError("profile grid does not match the state grid")
+    if profile.shape.shape != (psi.grid.n_points,) * psi.grid.dim:
+        raise ValueError("profile grid does not match the state grid")
     total = profile.total_phase(psi.amplitudes.shape, psi.grid.dim)
     return psi.with_amplitudes(psi.amplitudes * np.exp(1j * total))

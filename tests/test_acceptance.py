@@ -58,16 +58,14 @@ def test_criterion_02_zero_gravity_reduction():
     for seed in range(6):
         traj = g.run_trajectory(psi0, params, config, seed=seed, master_seed=55)
         psi = psi0
-        clock = g.FlashClock.from_seed(1, params.lam, 55, seed)
+        rng = g.rng_stream(55, seed)
         t, log = 0.0, []
         while True:
-            dt, k, clock = g.next_flash(clock)
+            dt, k = g.next_flash(rng, 1, params.lam)
             t += dt
             if t > config.total_time:
                 break
-            rng = clock.generator()
             x_f = g.sample_flash_position(psi, k, rng, params.r_C)
-            clock = clock.advanced_to(rng)
             psi = g.normalize(g.apply_collapse(psi, k, x_f, params.r_C))
             log.append((t, k, tuple(x_f)))
         logs_equal &= [
@@ -267,11 +265,11 @@ def test_criterion_10_statistical_integrity():
     lam, n_particles, total_time = 1.0, 2, 1.0
     mu = lam * n_particles * total_time
     counts = np.zeros(n_samples, dtype=int)
-    clock = g.FlashClock.from_seed(n_particles, lam, master_seed=303, stream=0)
+    clock = g.rng_stream(303, 0)
     for i in range(n_samples):
         t, c = 0.0, 0
         while True:
-            dt, _, clock = g.next_flash(clock)
+            dt, _ = g.next_flash(clock, n_particles, lam)
             t += dt
             if t > total_time:
                 break

@@ -6,7 +6,6 @@ from scipy.special import ndtr
 from scipy.stats import chi2, kstwobign
 
 from grwflash.collapse import (
-    FlashClock,
     apply_collapse,
     flash_position_density,
     next_flash,
@@ -193,33 +192,34 @@ def test_sampler_rejection_exhaustion():
 
 
 def test_next_flash_waiting_time_moment():
-    clock = FlashClock.from_seed(1, 1.0, master_seed=11, stream=0)
+    rng = rng_stream(11, 0)
     n = 100_000
     total = 0.0
     for _ in range(n):
-        dt, _, clock = next_flash(clock)
+        dt, _ = next_flash(rng, 1, 1.0)
         total += dt
     mean = total / n
     assert abs(mean - 1.0) < 3.0 / math.sqrt(n)  # exponential: sd = mean
 
 
 def test_next_flash_particle_uniformity():
-    clock = FlashClock.from_seed(4, 2.0, master_seed=5, stream=3)
+    rng = rng_stream(5, 3)
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        _, k, clock = next_flash(clock)
+        _, k = next_flash(rng, 4, 2.0)
         counts[k] += 1
     expected = n / 4
     chi2_stat = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2_stat < chi2.isf(0.01, df=3)
 
 
-def test_next_flash_pure_in_clock_state():
-    clock = FlashClock.from_seed(2, 0.5, master_seed=0, stream=0)
-    out1 = next_flash(clock)
-    out2 = next_flash(clock)
-    assert out1[0] == out2[0] and out1[1] == out2[1]
+def test_next_flash_replays_from_equal_streams():
+    a, b = rng_stream(0, 0), rng_stream(0, 0)
+    draws_a = [next_flash(a, 2, 0.5) for _ in range(20)]
+    draws_b = [next_flash(b, 2, 0.5) for _ in range(20)]
+    assert draws_a == draws_b
+    assert len(set(draws_a)) == 20
 
 
 def test_rng_streams_differ():
@@ -232,6 +232,6 @@ def test_rng_streams_differ():
 
 def test_clock_validation():
     with pytest.raises(ValueError):
-        FlashClock.from_seed(0, 1.0, 0)
+        next_flash(rng_stream(0), 0, 1.0)
     with pytest.raises(ValueError):
-        FlashClock.from_seed(1, 0.0, 0)
+        next_flash(rng_stream(0), 1, 0.0)

@@ -115,6 +115,15 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys):
     assert "lamda" in capsys.readouterr().err
 
 
+def test_cli_negative_threads_is_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL + "\n[ensemble]\nn_traj = 4\ntotal_time = 0.5\n")
+    out = tmp_path / "out"
+    rc = main(["--config", str(cfg), "--out-dir", str(out), "--threads", "-1",
+               "ensemble"])
+    assert rc == 2
+    assert "-1" in capsys.readouterr().err
+
+
 def test_cli_trajectory_outputs_and_manifest(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL + "\n[trajectory]\ntotal_time = 1.5\n")
     out = tmp_path / "out"
@@ -243,6 +252,17 @@ tolerance = 1e-3
     for sub, name in [("kernel", "kernel.csv"), ("slope", "slope.csv"),
                       ("potential", "potential.csv"), ("scan", "scan.csv")]:
         assert_plain_numbers(tmp_path / sub / name)
+    written = {
+        "kernel": ["kernel.csv"],
+        "slope": ["slope.csv", "slope_report.json"],
+        "potential": ["potential.csv"],
+        "scan": ["scan.csv"],
+    }
+    for sub, names in written.items():
+        manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
+        assert manifest["subcommand"] == sub
+        assert manifest["outputs"] == names
+        assert all((tmp_path / sub / name).exists() for name in names)
 
 
 def test_cli_out_dir_env_var(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import chi2, poisson
 
-from grwflash.collapse import FlashClock, apply_collapse, next_flash, sample_flash_position
+from grwflash.collapse import apply_collapse, next_flash, rng_stream, sample_flash_position
 from grwflash.dynamics import (
     EvolutionConfig,
     FreeHamiltonian,
@@ -145,16 +145,14 @@ def test_trajectory_zero_gravity_matches_vanilla_reference():
         traj = run_trajectory(packet(), params, cfg, seed=seed, master_seed=5)
 
         psi = packet()
-        clock = FlashClock.from_seed(1, params.lam, 5, seed)
+        rng = rng_stream(5, seed)
         t, log = 0.0, []
         while True:
-            dt, k, clock = next_flash(clock)
+            dt, k = next_flash(rng, 1, params.lam)
             t += dt
             if t > cfg.total_time:
                 break
-            rng = clock.generator()
             x_f = sample_flash_position(psi, k, rng, params.r_C)
-            clock = clock.advanced_to(rng)
             psi = normalize(apply_collapse(psi, k, x_f, params.r_C))
             log.append((t, k, tuple(x_f)))
 

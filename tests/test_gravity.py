@@ -91,7 +91,7 @@ def test_phase_profile_zero_gravity():
     grid = GridSpec.centered(1, 32, 0.5)
     params = dimensionless_params(lam=1.0, r_G=0.0)
     prof = phase_profile([0.3], params, 0, grid, softening=0.25)
-    assert np.all(prof.values[0] == 0.0)
+    assert np.all(prof.pair_scales[0] * prof.shape == 0.0)
 
 
 def test_phase_profile_sharp_unit_radian():
@@ -102,7 +102,7 @@ def test_phase_profile_sharp_unit_radian():
     node = np.array([grid.axis(a)[4] for a in range(3)])
     x_f = node - np.array([r_g, 0.0, 0.0])
     prof = phase_profile(x_f, params, 0, grid, softening=0.0)
-    assert prof.values[0][4, 4, 4] == pytest.approx(1.0, rel=1e-12)
+    assert prof.pair_scales[0] * prof.shape[4, 4, 4] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_phase_profile_sharp_exact_inverse_distance():
@@ -112,7 +112,7 @@ def test_phase_profile_sharp_exact_inverse_distance():
     prof = phase_profile(x_f, params, 0, grid, softening=0.0)
     pts = grid.points()
     dist = np.linalg.norm(pts - x_f, axis=1).reshape(6, 6, 6)
-    assert np.allclose(prof.values[0] * dist, 0.4, rtol=1e-12)
+    assert np.allclose(prof.pair_scales[0] * prof.shape * dist, 0.4, rtol=1e-12)
 
 
 def test_phase_profile_sharp_zero_softening_on_node_rejected():
@@ -139,7 +139,7 @@ def test_phase_profile_gaussian_contact_limit():
     )
     x_f = [grid.axis(0)[8]]
     prof = phase_profile(x_f, params, 0, grid, softening=0.0)
-    assert prof.values[0][8] == pytest.approx(
+    assert prof.pair_scales[0] * prof.shape[8] == pytest.approx(
         r_g * 2 / (math.sqrt(math.pi) * w), rel=1e-10
     )
     # cross-check the contact value by quadrature of the smeared 1/r
@@ -148,7 +148,7 @@ def test_phase_profile_gaussian_contact_limit():
         * math.exp(-(r**2) / w**2) / (math.pi * w**2) ** 1.5 / r,
         0, 8 * w,
     )
-    assert prof.values[0][8] == pytest.approx(r_g * val, rel=1e-9)
+    assert prof.pair_scales[0] * prof.shape[8] == pytest.approx(r_g * val, rel=1e-9)
 
 
 def test_phase_profile_far_field_softening_error_bound():
@@ -159,7 +159,7 @@ def test_phase_profile_far_field_softening_error_bound():
     x = grid.axis(0)
     far = np.abs(x) > 4 * a
     exact = 1.0 / np.abs(x[far])
-    rel_err = np.abs(prof.values[0][far] - exact) / exact
+    rel_err = np.abs(prof.pair_scales[0] * prof.shape[far] - exact) / exact
     assert np.all(rel_err < (a / np.abs(x[far])) ** 2 / 2)
 
 
@@ -173,7 +173,7 @@ def test_smearing_consistency_with_smeared_potential():
     prof = phase_profile(x_f, params, 0, grid, softening=0.0)
     d = np.abs(grid.axis(0) - 0.37)
     expected = r_g * smeared_newton_potential(d, 1.0)
-    assert np.max(np.abs(prof.values[0] - expected)) < 1e-10
+    assert np.max(np.abs(prof.pair_scales[0] * prof.shape - expected)) < 1e-10
 
 
 def test_kick_identity_when_gravity_off():
@@ -213,7 +213,7 @@ def test_kick_two_particle_phases_add():
     prof = phase_profile([0.3], params, 0, grid, softening=0.25)
     out = apply_gravitational_kick(psi, prof)
     expected = psi.amplitudes * np.exp(
-        1j * (prof.values[0][:, None] + prof.values[1][None, :])
+        1j * (prof.pair_scales[0] * prof.shape[:, None] + prof.pair_scales[1] * prof.shape[None, :])
     )
     assert np.allclose(out.amplitudes, expected, atol=1e-14)
     # the flashing particle's own scale uses m_0^2, the passive one m_0*m_1
