@@ -126,7 +126,6 @@ def _evolution_config(section: dict, config: ExperimentConfig) -> EvolutionConfi
     return EvolutionConfig(
         total_time=section["total_time"],
         free_hamiltonian=ham,
-        dt_free=section.get("dt_free", 0.05),
         snapshot_times=tuple(section.get("snapshot_times") or ()),
         softening=section.get("softening"),
     )
@@ -163,7 +162,7 @@ def _cmd_ensemble(config, args, out_dir):
     evo = _evolution_config(sec, config)
     result = run_ensemble(
         psi0, config.params, evo, sec["n_traj"], sec["master_seed"],
-        workers=args.threads, batch_size=sec["batch_size"],
+        workers=args.threads,
     )
     rho_path = os.path.join(out_dir, "density_matrix.csv")
     ent, se = result.rho.entries, result.entry_se
@@ -352,6 +351,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if args.threads < 0:
+        print(f"error: --threads must be nonnegative, got {args.threads}",
+              file=sys.stderr)
+        return 2
     try:
         if args.config:
             config = load_config(args.config)

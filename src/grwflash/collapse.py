@@ -136,12 +136,13 @@ def sample_flash_position(
     p = (dens * grid.cell_volume).ravel()
     p = np.clip(p, 0.0, None)
     p /= p.sum()
-    points = grid.points()
+    origin = np.asarray(grid.origin)
     sigma = r_C / np.sqrt(2.0)
     for _ in range(max_tries):
         cell = rng.choice(len(p), p=p)
+        node = origin + grid.spacing * np.array(np.unravel_index(cell, dens.shape))
         u = rng.uniform(-grid.spacing / 2, grid.spacing / 2, size=grid.dim)
-        x = points[cell] + u + sigma * rng.standard_normal(grid.dim)
+        x = node + u + sigma * rng.standard_normal(grid.dim)
         if grid.contains(x):
             return x
     raise RuntimeError(

@@ -57,7 +57,6 @@ _PACKET_KEYS = {
     "state_file": ("str", None),
 }
 _FLIGHT_KEYS = {
-    "dt_free": ("float", 0.05),
     "hamiltonian": ("str", "none"),
     "packet_momentum": ("float_list", None),
 }
@@ -87,7 +86,6 @@ SCHEMA = {
     },
     "ensemble": {
         "n_traj": ("int", 256),
-        "batch_size": ("int", 64),
         **_RUN_KEYS, **_FLIGHT_KEYS, **_PACKET_KEYS,
     },
     "verify": {

@@ -8,7 +8,10 @@ a flash position is sampled from the flash density, and the state undergoes
 
 (collapse first, then the norm-preserving gravitational kick, following the
 operator product U_k L_k).  Everything is deterministic given the Philox
-stream (master seed, trajectory index).
+stream (master seed, trajectory index).  Free flight is exact: the periodic
+kinetic H0 is diagonal in the grid's DFT basis, so each segment between
+flashes, snapshots and T is one FFT, one phase exp(-i E t / hbar) and one
+inverse FFT, whatever its length.
 
 The oracle solves the corresponding master equation
 
@@ -19,7 +22,8 @@ on the grid: B_k is position-diagonal, so the flash integral collapses to
 an elementwise kernel matrix K_k built on a quadrature grid at least 4x
 finer than r_C (refused otherwise).  With H0 = 0 the whole generator is
 elementwise and rho_T = exp(T lam (sum_k K_k - N)) o rho_0 is exact for any
-particle count; only a kinetic H0 is integrated step by step, with RK4.
+particle count; only a kinetic H0 is integrated step by step, with RK4,
+its commutator applied in the same DFT basis by one FFT pair per stage.
 Flash distances are wrapped on the periodic box, which makes the discrete
 channel trace preserving up to the Gaussian tail beyond half a box length
 L (erfc(L / 2 r_C) per axis: 1.5e-8 at L = 8 r_C); experiments keep
@@ -77,12 +81,16 @@ class StepControlError(RuntimeError):
 
 @dataclass(frozen=True)
 class FreeHamiltonian:
-    """Free evolution generator: none, or kinetic with optional potential."""
+    """Free evolution generator: none, or the periodic kinetic term.
+
+    The kinetic H0 = sum over particles and axes of -hbar^2 d^2/(2 m_k dx^2)
+    is diagonal in the DFT basis of the grid, so both engines apply it
+    exactly there (see ``_kinetic_energies``).
+    """
 
     kind: str = "none"                     # "none" | "kinetic"
     masses: tuple[float, ...] | None = None
     hbar: float = 1.0
-    potential: np.ndarray | None = None    # diagonal in position, joint grid
 
     def __post_init__(self):
         if self.kind not in ("none", "kinetic"):
@@ -95,34 +103,27 @@ class FreeHamiltonian:
         return FreeHamiltonian("none")
 
     @staticmethod
-    def kinetic(masses, hbar: float = 1.0, potential=None) -> "FreeHamiltonian":
-        return FreeHamiltonian(
-            "kinetic", tuple(float(m) for m in masses), hbar, potential
-        )
+    def kinetic(masses, hbar: float = 1.0) -> "FreeHamiltonian":
+        return FreeHamiltonian("kinetic", tuple(float(m) for m in masses), hbar)
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
     """Run description shared by both engines.
 
-    ``softening`` regularizes the kick phase (None picks spacing/2 at use
-    time); ``flash_quad_refine`` subdivides each grid cell for the master
-    equation's flash integral (None picks the coarsest refinement with
-    step <= r_C/4).
+    Free flight needs no step size: trajectories propagate exactly once per
+    segment between flashes, snapshots and T.  ``softening`` regularizes the
+    kick phase (None picks spacing/2 at use time).
     """
 
     total_time: float
     free_hamiltonian: FreeHamiltonian = FreeHamiltonian.none()
-    dt_free: float = 0.05
     snapshot_times: tuple[float, ...] = ()
     softening: float | None = None
-    flash_quad_refine: int | None = None
 
     def __post_init__(self):
         if self.total_time < 0:
             raise ValueError("total_time must be nonnegative")
-        if not self.dt_free > 0:
-            raise ValueError("dt_free must be positive")
         snaps = tuple(sorted(float(t) for t in self.snapshot_times))
         for t in snaps:
             if not 0.0 <= t <= self.total_time:
@@ -150,59 +151,47 @@ class Trajectory:
             raise ValueError("flash times must be strictly increasing")
 
 
-def _kinetic_phases(grid: GridSpec, ham: FreeHamiltonian, n_particles, dt):
-    """Per-axis spectral propagator factors exp(-i hbar k^2 dt / (2 m))."""
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)
-    phases = []
+def _kinetic_energies(grid: GridSpec, ham: FreeHamiltonian, n_particles: int):
+    """E / hbar = sum over particle axes of hbar k^2 / (2 m), on the joint k grid.
+
+    The periodic kinetic operator is diagonal in the DFT basis: these are its
+    eigenvalues (over hbar) in the index order of ``np.fft.fftn``.
+    """
+    k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)) ** 2
+    energies = np.zeros(grid.joint_shape(n_particles))
     for p in range(n_particles):
-        m = ham.masses[p]
-        phases.extend(
-            np.exp(-1j * ham.hbar * k**2 * dt / (2.0 * m))
-            for _ in range(grid.dim)
-        )
-    return phases
+        per_axis = ham.hbar * k2 / (2.0 * ham.masses[p])
+        for a in range(grid.dim):
+            view = [1] * energies.ndim
+            view[p * grid.dim + a] = grid.n_points
+            energies = energies + per_axis.reshape(view)
+    return energies
 
 
 def free_step(psi: WaveFunction, config: EvolutionConfig, dt: float) -> WaveFunction:
-    """One free-flight step; spectral, exact for the periodic kinetic term.
+    """Free flight over ``dt``, exact for the periodic kinetic term at any dt.
 
-    An external potential is handled by symmetric (Strang) splitting with
-    O(dt^3) local error.  Unitary to rounding.
+    One ``fftn``, one multiply by exp(-i E dt / hbar), one ``ifftn``;
+    unitary to rounding.
     """
-    if dt > config.dt_free * (1 + 1e-12):
-        raise ValueError(f"dt {dt} exceeds dt_free {config.dt_free}")
     ham = config.free_hamiltonian
     if ham.kind == "none" or dt == 0.0:
         return psi
-    amps = psi.amplitudes
-    if ham.potential is not None:
-        half = np.exp(-0.5j * dt * ham.potential / ham.hbar)
-        amps = amps * half
-    axes = tuple(range(amps.ndim))
-    spectral = np.fft.fftn(amps, axes=axes)
-    for axis, phase in enumerate(_kinetic_phases(psi.grid, ham, psi.n_particles, dt)):
-        shape = [1] * amps.ndim
-        shape[axis] = psi.grid.n_points
-        spectral = spectral * phase.reshape(shape)
-    amps = np.fft.ifftn(spectral, axes=axes)
-    if ham.potential is not None:
-        amps = amps * half
-    return psi.with_amplitudes(amps)
+    axes = tuple(range(psi.amplitudes.ndim))
+    phase = np.exp(-1j * dt * _kinetic_energies(psi.grid, ham, psi.n_particles))
+    spectral = np.fft.fftn(psi.amplitudes, axes=axes) * phase
+    return psi.with_amplitudes(np.fft.ifftn(spectral, axes=axes))
 
 
 def _free_flight(psi, config, t0, t1, snap_times, snapshots):
-    """Advance from t0 to t1, recording requested snapshots on the way."""
+    """Advance from t0 to t1 in one exact step per segment between snapshots."""
     stops = [t for t in snap_times if t0 < t <= t1]
     if not stops or stops[-1] < t1:
         stops.append(t1)
     t = t0
     for stop in stops:
-        seg = stop - t
-        if seg > 0 and config.free_hamiltonian.kind != "none":
-            n_sub = max(1, math.ceil(seg / config.dt_free))
-            dt = seg / n_sub
-            for _ in range(n_sub):
-                psi = free_step(psi, config, dt)
+        if stop > t and config.free_hamiltonian.kind != "none":
+            psi = free_step(psi, config, stop - t)
         t = stop
         if t in snap_times:
             snapshots.append((t, psi))
@@ -507,56 +496,33 @@ def flash_kernel_matrices(
     return kernels
 
 
-def _hamiltonian_matrix(grid: GridSpec, ham: FreeHamiltonian, n_particles: int):
-    """Dense H0 over the joint basis (kinetic spectral + diagonal potential)."""
-    if ham.kind == "none":
-        if ham.potential is not None:
-            raise ValueError("potential requires a kinetic Hamiltonian")
-        return None
-    npts = grid.n_points
-    k = 2.0 * np.pi * np.fft.fftfreq(npts, d=grid.spacing)
-    f = np.fft.fft(np.eye(npts), axis=0) / math.sqrt(npts)
-    b = grid.basis_size**n_particles
-    h = np.zeros((b, b), dtype=np.complex128)
-    n_axes = grid.dim * n_particles
-    for p in range(n_particles):
-        t1d = f.conj().T @ (np.diag(ham.hbar**2 * k**2 / (2.0 * ham.masses[p])) @ f)
-        for a in range(grid.dim):
-            axis = p * grid.dim + a
-            op = np.array([[1.0]])
-            for ax in range(n_axes):
-                op = np.kron(op, t1d if ax == axis else np.eye(npts))
-            h += op
-    if ham.potential is not None:
-        h += np.diag(np.asarray(ham.potential, dtype=np.complex128).ravel())
-    return h
-
-
 def master_generator(
     rho: DensityMatrix,
     params: PhysicalParams,
     config: EvolutionConfig,
     kernels: list[np.ndarray] | None = None,
-    hamiltonian: np.ndarray | None = None,
 ) -> np.ndarray:
     """Right-hand side of the master equation, as kernel-value entries.
 
-    Precomputed ``kernels``/``hamiltonian`` may be supplied to amortize
-    setup across repeated calls (the integrator does).
+    Precomputed ``kernels`` may be supplied to amortize setup across
+    repeated calls (the integrator does).  A kinetic H0 adds
+    -(i/hbar)[H0, rho], applied as one ``fftn`` over all ket and bra axes,
+    a multiply by (E_ket - E_bra)/hbar and one ``ifftn``: H0 is real
+    symmetric, so rho H0 is the same filter applied on the bra axes.
     """
     if kernels is None:
         kernels = flash_kernel_matrices(
-            rho.grid, params, config.softening_for(rho.grid), config.flash_quad_refine
+            rho.grid, params, config.softening_for(rho.grid)
         )
-    n = params.n_particles
-    q = params.lam * (sum(kernels) - n)
+    q = params.lam * (sum(kernels) - params.n_particles)
     out = q * rho.entries
-    if hamiltonian is None and config.free_hamiltonian.kind != "none":
-        hamiltonian = _hamiltonian_matrix(rho.grid, config.free_hamiltonian, n)
-    if hamiltonian is not None:
-        h = hamiltonian
-        hbar = config.free_hamiltonian.hbar
-        out = out - 1j / hbar * (h @ rho.entries - rho.entries @ h)
+    ham = config.free_hamiltonian
+    if ham.kind != "none":
+        e = _kinetic_energies(rho.grid, ham, rho.n_particles).ravel()
+        shape = rho.grid.joint_shape(rho.n_particles) * 2
+        spectral = np.fft.fftn(rho.entries.reshape(shape))
+        spectral *= (e[:, None] - e[None, :]).reshape(shape)
+        out = out - 1j * np.fft.ifftn(spectral).reshape(out.shape)
     return out
 
 
@@ -575,8 +541,11 @@ def master_evolve(
     kernels (see ``flash_kernel_matrices``) belongs to the model.
 
     A kinetic H0 is integrated with classical RK4 on ``master_generator``,
-    with steps no longer than ``dt`` (when given) nor than the stability
-    bound 0.05 / (2 lam N + sqrt(b) max|H0| / hbar).  Its result must keep
+    whose commutator costs one FFT pair per stage, with steps no longer than
+    ``dt`` (when given) nor than the stability bound
+    0.05 / (2 lam N + sqrt(b) max|H0| / hbar).  H0 is positive
+    semidefinite, so max|H0| is a diagonal entry, and each diagonal entry is
+    the mean of its eigenvalues over the joint k grid.  The result must keep
     the trace of rho0 to 1e-8, the wrapped kernels' loss included, and
     Hermiticity to 1e-9, else StepControlError.
     """
@@ -587,20 +556,20 @@ def master_evolve(
     if total_time == 0.0:
         return rho0
     kernels = flash_kernel_matrices(
-        rho0.grid, params, config.softening_for(rho0.grid), config.flash_quad_refine
+        rho0.grid, params, config.softening_for(rho0.grid)
     )
-    ham = _hamiltonian_matrix(rho0.grid, config.free_hamiltonian, rho0.n_particles)
-    if ham is None:
+    ham = config.free_hamiltonian
+    if ham.kind == "none":
         q = params.lam * (sum(kernels) - params.n_particles)
         return rho0.with_entries(np.exp(total_time * q) * rho0.entries)
 
-    h_scale = float(np.max(np.abs(ham))) * ham.shape[0] ** 0.5
-    rate_scale = (params.lam * params.n_particles * 2.0
-                  + h_scale / config.free_hamiltonian.hbar)
+    energies = _kinetic_energies(rho0.grid, ham, rho0.n_particles)
+    h_rate = rho0.entries.shape[0] ** 0.5 * float(energies.mean())
+    rate_scale = params.lam * params.n_particles * 2.0 + h_rate
     max_step = 0.05 / rate_scale if dt is None else min(dt, 0.05 / rate_scale)
     n_steps = max(1, math.ceil(total_time / max_step))
     step = total_time / n_steps
-    gen_args = (params, config, kernels, ham)
+    gen_args = (params, config, kernels)
     rho = rho0
     for _ in range(n_steps):
         ent = rho.entries

@@ -116,8 +116,11 @@ def phase_profile(
     if x_f.shape != (grid.dim,):
         raise ValueError(f"flash position must have {grid.dim} components")
 
-    points = grid.points()
-    r = np.linalg.norm(points - x_f, axis=1).reshape((grid.n_points,) * grid.dim)
+    r2 = None
+    for a, xa in enumerate(grid.axes()):
+        d2 = (xa - x_f[a]) ** 2
+        r2 = d2 if r2 is None else np.add.outer(r2, d2)
+    r = np.sqrt(r2)
 
     kind = params.smearing.kind
     if kind == "sharp":

@@ -53,9 +53,13 @@ def test_unknown_key_is_named(tmp_path):
     bad = MINIMAL.replace("lambda = 1.0", "lamda = 1.0")
     with pytest.raises(ConfigError, match="lamda"):
         load_config(write(tmp_path, bad))
-    # verify always reduces in batches of 64; it takes no batch_size key
-    with pytest.raises(ConfigError, match="batch_size"):
-        load_config(write(tmp_path, MINIMAL + "\n[verify]\nbatch_size = 8\n"))
+    # runs reduce in batches of 64 and fly exactly per segment: neither the
+    # batch size nor a free-flight step is a config key
+    for extra in ("[verify]\nbatch_size = 8", "[ensemble]\nbatch_size = 8",
+                  "[trajectory]\ndt_free = 0.01"):
+        key = extra.split("\n")[1].split(" =")[0]
+        with pytest.raises(ConfigError, match=key):
+            load_config(write(tmp_path, MINIMAL + "\n" + extra + "\n"))
 
 
 def test_unknown_section_rejected(tmp_path):
@@ -116,12 +120,15 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys):
 
 
 def test_cli_negative_threads_is_usage_error(tmp_path, capsys):
+    # rejected for every subcommand, not only those that start workers
     cfg = write(tmp_path, MINIMAL + "\n[ensemble]\nn_traj = 4\ntotal_time = 0.5\n")
     out = tmp_path / "out"
-    rc = main(["--config", str(cfg), "--out-dir", str(out), "--threads", "-1",
-               "ensemble"])
-    assert rc == 2
-    assert "-1" in capsys.readouterr().err
+    for subcommand in ("ensemble", "trajectory"):
+        rc = main(["--config", str(cfg), "--out-dir", str(out), "--threads",
+                   "-1", subcommand])
+        assert rc == 2
+        assert "-1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_trajectory_outputs_and_manifest(tmp_path, capsys):
@@ -165,7 +172,7 @@ def test_cli_seed_override_changes_flashes(tmp_path):
 def test_cli_ensemble(tmp_path):
     cfg = write(
         tmp_path,
-        MINIMAL + "\n[ensemble]\nn_traj = 16\ntotal_time = 1.0\nbatch_size = 8\n",
+        MINIMAL + "\n[ensemble]\nn_traj = 16\ntotal_time = 1.0\n",
     )
     out = tmp_path / "out"
     rc = main(["--config", str(cfg), "--out-dir", str(out), "ensemble"])

@@ -23,6 +23,7 @@ from grwflash.dynamics import (
     trace_distance_se,
 )
 from grwflash.state import (
+    DensityMatrix,
     GridSpec,
     WaveFunction,
     density_from_ensemble,
@@ -67,7 +68,6 @@ def test_free_packet_spreading_law():
     cfg = EvolutionConfig(
         total_time=t,
         free_hamiltonian=FreeHamiltonian.kinetic([m], hbar=hbar),
-        dt_free=t / 100,
     )
     for _ in range(100):
         psi = free_step(psi, cfg, t / 100)
@@ -93,35 +93,19 @@ def test_momentum_eigenstate_density_static():
     ) < 1e-12
 
 
-def test_free_step_with_potential_harmonic_phase():
-    # Strang splitting: a tight harmonic trap holds the packet in place
-    grid = GridSpec.centered(1, 64, 0.25)
-    x = grid.axis(0)
-    omega = 1.0
-    pot = 0.5 * omega**2 * x**2
-    psi = make_gaussian_packet(grid, 1, [[0.0]], [1.0])  # ground state of w=1
+def test_free_step_exact_for_any_dt():
+    # the spectral propagator composes exactly: one step of t equals 100 of t/100
+    psi = make_gaussian_packet(GRID, 1, [[-1.0]], [0.8], [[1.5]])
     cfg = EvolutionConfig(
-        total_time=2.0,
-        free_hamiltonian=FreeHamiltonian.kinetic([1.0], potential=pot),
-        dt_free=0.01,
+        total_time=2.0, free_hamiltonian=FreeHamiltonian.kinetic([1.3], hbar=0.7)
     )
-    out = psi
-    for _ in range(200):
-        out = free_step(out, cfg, 0.01)
-    # coherent-state check: the ground state stays put
-    assert np.max(
-        np.abs(position_density(out, 0) - position_density(psi, 0))
-    ) < 1e-4
-
-
-def test_free_step_rejects_oversized_dt():
-    psi = packet()
-    cfg = EvolutionConfig(
-        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic([1.0]),
-        dt_free=0.01,
-    )
-    with pytest.raises(ValueError):
-        free_step(psi, cfg, 0.05)
+    t = 2.0
+    one = free_step(psi, cfg, t)
+    many = psi
+    for _ in range(100):
+        many = free_step(many, cfg, t / 100)
+    assert np.max(np.abs(one.amplitudes - psi.amplitudes)) > 0.1
+    assert np.max(np.abs(one.amplitudes - many.amplitudes)) < 1e-12
 
 
 # ---------------------------------------------------------------- trajectories
@@ -138,26 +122,29 @@ def test_trajectory_deterministic():
 
 
 def test_trajectory_zero_gravity_matches_vanilla_reference():
-    # independent jump-process loop built from the collapse primitives only
+    # independent jump-process loop built from the collapse primitives and
+    # one free_step per interval between flashes (the identity for H0 = 0)
     params = dimensionless_params(lam=1.0, r_G=0.0)
-    cfg = EvolutionConfig(total_time=3.0)
-    for seed in range(5):
-        traj = run_trajectory(packet(), params, cfg, seed=seed, master_seed=5)
+    for ham in (FreeHamiltonian.none(), FreeHamiltonian.kinetic([1.0])):
+        cfg = EvolutionConfig(total_time=3.0, free_hamiltonian=ham)
+        for seed in range(5):
+            traj = run_trajectory(packet(), params, cfg, seed=seed, master_seed=5)
 
-        psi = packet()
-        rng = rng_stream(5, seed)
-        t, log = 0.0, []
-        while True:
-            dt, k = next_flash(rng, 1, params.lam)
-            t += dt
-            if t > cfg.total_time:
-                break
-            x_f = sample_flash_position(psi, k, rng, params.r_C)
-            psi = normalize(apply_collapse(psi, k, x_f, params.r_C))
-            log.append((t, k, tuple(x_f)))
+            psi = packet()
+            rng = rng_stream(5, seed)
+            t, log = 0.0, []
+            while True:
+                dt, k = next_flash(rng, 1, params.lam)
+                psi = free_step(psi, cfg, min(t + dt, cfg.total_time) - t)
+                t += dt
+                if t > cfg.total_time:
+                    break
+                x_f = sample_flash_position(psi, k, rng, params.r_C)
+                psi = normalize(apply_collapse(psi, k, x_f, params.r_C))
+                log.append((t, k, tuple(x_f)))
 
-        assert [(f.time, f.particle, f.position) for f in traj.flashes] == log
-        assert np.array_equal(traj.final_state.amplitudes, psi.amplitudes)
+            assert [(f.time, f.particle, f.position) for f in traj.flashes] == log
+            assert np.array_equal(traj.final_state.amplitudes, psi.amplitudes)
 
 
 def test_trajectory_flash_counts_poisson():
@@ -329,6 +316,45 @@ def test_master_generator_diagonal_invariant():
     rho = pure_density(packet())
     out = master_generator(rho, params, EvolutionConfig(total_time=1.0))
     assert np.max(np.abs(np.diag(out))) < 1e-10
+
+
+def _dense_kinetic_hamiltonian(grid, masses, hbar):
+    """Kronecker sum over particle axes of F^dag diag(hbar^2 k^2 / 2m) F."""
+    n = grid.n_points
+    k = 2 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+    f = np.fft.fft(np.eye(n), axis=0) / math.sqrt(n)
+    n_axes = grid.dim * len(masses)
+    h = 0
+    for p, m in enumerate(masses):
+        t1d = f.conj().T @ np.diag(hbar**2 * k**2 / (2 * m)) @ f
+        for a in range(grid.dim):
+            op = np.ones((1, 1))
+            for ax in range(n_axes):
+                op = np.kron(op, t1d if ax == p * grid.dim + a else np.eye(n))
+            h = h + op
+    return h
+
+
+@pytest.mark.parametrize("grid, masses, hbar", [
+    (GridSpec.centered(1, 8, 0.5), (1.0, 2.0), 1.3),
+    (GridSpec.centered(3, 4, 0.5), (1.7,), 0.9),
+])
+def test_master_generator_commutator_matches_dense_hamiltonian(grid, masses, hbar):
+    # the FFT commutator against -i/hbar [H, rho] with H built densely
+    params = PhysicalParams(lam=0.8, r_C=1.0, G=0.3, hbar=hbar, masses=masses)
+    cfg = EvolutionConfig(
+        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic(masses, hbar)
+    )
+    b = grid.basis_size ** len(masses)
+    rng = np.random.default_rng(4)
+    rho = DensityMatrix(grid, len(masses),
+                        rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b)))
+    kernels = flash_kernel_matrices(grid, params, softening=grid.spacing / 2)
+    q = params.lam * (sum(kernels) - len(masses))
+    h = _dense_kinetic_hamiltonian(grid, masses, hbar)
+    expected = -1j / hbar * (h @ rho.entries - rho.entries @ h)
+    got = master_generator(rho, params, cfg, kernels) - q * rho.entries
+    assert np.max(np.abs(got - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 def test_master_evolve_matches_exact_diagonal_solution():
@@ -513,6 +539,25 @@ def test_verify_check_runs_on_8_rc_box():
     )
     assert report.passed
     assert 1e-8 < 1.0 - oracle.trace().real < 1e-7
+
+
+def test_verify_check_kinetic_trajectories_match_oracle():
+    # a moving, spreading packet: trajectories with exact free flight
+    # against the RK4 oracle with the FFT commutator
+    grid = GridSpec.centered(1, 32, 0.4)
+    params = dimensionless_params(lam=1.0, r_G=0.3)
+    psi0 = make_gaussian_packet(grid, 1, [[0.0]], [1.0], [[1.0]])
+    cfg = EvolutionConfig(
+        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic([1.0])
+    )
+    report, _, oracle = ensemble_vs_master_check(
+        psi0, params, cfg, 1024, master_seed=11, se_limit=0.05
+    )
+    assert report.passed, report.summary()
+    # the check resolves the kinetic term: without it the oracle is far off
+    static = master_evolve(pure_density(psi0), params,
+                           EvolutionConfig(total_time=1.0))
+    assert trace_distance(oracle, static) > 5 * 3 * report.std_error
 
 
 def test_verify_check_passes_and_reports():
