@@ -64,14 +64,19 @@ def next_flash(
 
 
 def collapse_factor(coords: np.ndarray, x_f: np.ndarray, r_C: float) -> np.ndarray:
-    """L_k values at per-axis coordinate arrays for a flash at x_f."""
+    """L_k values at per-axis coordinate arrays for a flash at x_f.
+
+    ``x_f`` of shape (B, dim) gives B factors stacked on a leading axis,
+    each equal to the one of its row alone.
+    """
     x_f = np.atleast_1d(x_f)
+    lead = x_f.shape[:-1]
     dim = len(coords)
     prefactor = (np.pi * r_C**2) ** (-dim / 4.0)
     out = None
     for a in range(dim):
-        g = np.exp(-((coords[a] - x_f[a]) ** 2) / (2 * r_C**2))
-        out = g if out is None else np.multiply.outer(out, g)
+        g = np.exp(-((coords[a] - x_f[..., a, None]) ** 2) / (2 * r_C**2))
+        out = g if out is None else out[..., None] * g.reshape(lead + (1,) * a + (-1,))
     return prefactor * out
 
 
@@ -120,9 +125,12 @@ def flash_position_density(psi: WaveFunction, k: int, r_C: float) -> np.ndarray:
     return out * grid.cell_volume
 
 
+MAX_SAMPLER_TRIES = 1000
+
+
 def sample_flash_position(
     psi: WaveFunction, k: int, rng: np.random.Generator, r_C: float,
-    max_tries: int = 1000,
+    max_tries: int = MAX_SAMPLER_TRIES,
 ) -> np.ndarray:
     """Two-step flash-position sampler.
 

@@ -13,6 +13,13 @@ kinetic H0 is diagonal in the grid's DFT basis, so each segment between
 flashes, snapshots and T is one FFT, one phase exp(-i E t / hbar) and one
 inverse FFT, whatever its length.
 
+Trajectories run in lockstep batches (``_lockstep``): a (B, *joint_shape)
+array holds one trajectory per row, and each flash round advances every
+running row with one numpy call per step, while each row still draws from
+its own stream in the order a lone trajectory would.  ``run_trajectory`` is
+the one-row case.  An ensemble batch is reduced to its projector sum
+V^T conj(V) and |.|^2 sum with ``einsum``, which makes no BLAS call.
+
 The oracle solves the corresponding master equation
 
     d rho/dt = -(i/hbar)[H0, rho]
@@ -43,31 +50,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import (
-    FlashEvent,
-    apply_collapse,
-    next_flash,
-    rng_stream,
-    sample_flash_position,
-)
-from .gravity import (
-    apply_gravitational_kick,
-    phase_profile,
-    smeared_newton_potential,
-    softened_inverse_distance,
-)
+from .collapse import MAX_SAMPLER_TRIES, FlashEvent, collapse_factor, rng_stream
+from .gravity import profile_shape, smeared_newton_potential, softened_inverse_distance
 from .state import (
     MAX_DENSITY_BASIS,
     DensityMatrix,
     GridSpec,
-    NullStateError,
     WaveFunction,
-    expectation_position,
-    normalize,
     pure_density,
     trace_distance,
     warn_if_near_boundary,
 )
+
+# The per-event primitives of a lone trajectory.  ``_lockstep`` computes
+# what they compute, for many trajectories per call; they stay importable
+# here because perfbench's tracer rebinds them in this module by name.
+from .collapse import apply_collapse, next_flash, sample_flash_position  # noqa: F401
+from .gravity import apply_gravitational_kick, phase_profile  # noqa: F401
+from .state import expectation_position, normalize  # noqa: F401
 from .units import PhysicalParams, validate as validate_params
 
 
@@ -183,19 +183,191 @@ def free_step(psi: WaveFunction, config: EvolutionConfig, dt: float) -> WaveFunc
     return psi.with_amplitudes(np.fft.ifftn(spectral, axes=axes))
 
 
-def _free_flight(psi, config, t0, t1, snap_times, snapshots):
-    """Advance from t0 to t1 in one exact step per segment between snapshots."""
-    stops = [t for t in snap_times if t0 < t <= t1]
-    if not stops or stops[-1] < t1:
-        stops.append(t1)
-    t = t0
-    for stop in stops:
-        if stop > t and config.free_hamiltonian.kind != "none":
-            psi = free_step(psi, config, stop - t)
-        t = stop
-        if t in snap_times:
-            snapshots.append((t, psi))
-    return psi
+def _check_start(psi0: WaveFunction, params: PhysicalParams) -> None:
+    diags = validate_params(params)
+    if diags:
+        raise ValueError("invalid params: " + "; ".join(diags))
+    if abs(psi0.norm() - 1.0) > 1e-8:
+        raise ValueError("initial state must be normalized")
+    if psi0.n_particles != params.n_particles:
+        raise ValueError("params and state disagree on particle count")
+    warn_if_near_boundary(psi0)
+
+
+def _lockstep(psi0, params, config, master_seed, seeds, record=False):
+    """Run one trajectory per seed together, one flash round at a time.
+
+    Row r is trajectory seeds[r] on Philox stream (master_seed, seeds[r]).
+    Each round, every running row draws its next flash time and particle
+    from its own stream (``next_flash``'s draws), flies freely to it (or to
+    T) in exact segments split at the snapshot times, and stops if it is
+    past T; every other row flashes.  A flashing row draws its position as
+    ``sample_flash_position`` does: the single uniform that
+    ``Generator.choice(p=...)`` consumes, turned into a cell by the same
+    cdf and right-sided search, then the in-cell jitter and the Gaussian
+    offset, redrawn while outside the box.  Collapse, normalization, kick
+    and free flight are one numpy call over all running rows, with the same
+    elementwise operations as the single-state primitives, so each row is
+    bitwise the trajectory it would be alone.
+
+    Returns the final amplitudes (len(seeds), *joint_shape), the flash
+    counts and, with ``record``, per-row flash logs and snapshots.
+    """
+    _check_start(psi0, params)
+    grid, n = psi0.grid, params.n_particles
+    dim, m = grid.dim, grid.n_points
+    joint = grid.joint_shape(n)
+    space = tuple(range(1, len(joint) + 1))       # the state axes of a row
+    column = (-1,) + (1,) * len(joint)            # one value per row
+    cell = (m,) * dim
+
+    ham = config.free_hamiltonian
+    energies = None if ham.kind == "none" else _kinetic_energies(grid, ham, n)
+    total_time = config.total_time
+    rate = n * params.lam
+    softening = config.softening_for(grid)
+    r_gm = params.r_G_matrix() if params.G != 0.0 else None
+    coords = nodes = None                         # built at the first flash
+    lo, hi = (np.asarray(c) for c in grid.bounds())
+    half = grid.spacing / 2
+    sigma = params.r_C / np.sqrt(2.0)
+
+    rngs = [rng_stream(master_seed, s) for s in seeds]
+    final = np.empty((len(seeds),) + joint, dtype=np.complex128)
+    counts = np.zeros(len(seeds), dtype=np.int64)
+    logs = [[] for _ in seeds]
+    shots = [[] for _ in seeds]
+    if record and 0.0 in config.snapshot_times:
+        for shot in shots:
+            shot.append((0.0, psi0))
+
+    rows = np.arange(len(seeds))                  # running rows, by seed slot
+    amps = np.repeat(psi0.amplitudes[None], len(seeds), axis=0)
+    t = np.zeros(len(seeds))
+
+    def spread(p):
+        """View that lays a per-row particle-grid array on particle p's axes."""
+        view = [-1] + [1] * len(joint)
+        view[1 + p * dim:1 + (p + 1) * dim] = cell
+        return view
+
+    def fly(at, stop):
+        """Free flight of rows ``at`` from their times to ``stop``."""
+        nonlocal amps
+        if energies is not None:
+            whole = at.size == rows.size
+            sub = amps if whole else amps[at]
+            phase = np.exp(-1j * (stop - t[at]).reshape(column) * energies)
+            sub = np.fft.ifftn(np.fft.fftn(sub, axes=space) * phase, axes=space)
+            if whole:
+                amps = sub
+            else:
+                amps[at] = sub
+        t[at] = stop
+
+    while rows.size:
+        wait = np.empty(rows.size)
+        k = np.empty(rows.size, dtype=np.intp)
+        for j, r in enumerate(rows):
+            wait[j] = rngs[r].standard_exponential() / rate
+            k[j] = rngs[r].integers(n)
+        t_event = t + wait
+        end = np.minimum(t_event, total_time)
+        for stop in config.snapshot_times:
+            at = np.flatnonzero((t < stop) & (stop <= end))
+            if at.size:
+                fly(at, stop)
+                if record:
+                    for j in at:
+                        shots[rows[j]].append(
+                            (stop, psi0.with_amplitudes(amps[j].copy()))
+                        )
+        if energies is not None:
+            at = np.flatnonzero(end > t)
+            fly(at, end[at])
+
+        done = t_event > total_time
+        t = t_event
+        if done.any():
+            final[rows[done]] = amps[done]
+            keep = ~done
+            rows, amps, t, k = rows[keep], amps[keep], t[keep], k[keep]
+            if not rows.size:
+                break
+
+        if nodes is None:
+            coords, nodes = grid.axes(), grid.points()
+        # Flash positions: per-row Born cdf of the flashing particle.
+        prob = np.abs(amps) ** 2
+        if n == 1:
+            dens = prob
+        else:
+            dens = np.empty((rows.size,) + cell)
+            for p in range(n):
+                mine = k == p
+                other = tuple(1 + a for a in range(len(joint)) if a // dim != p)
+                dens[mine] = prob[mine].sum(axis=other) * grid.cell_volume ** (n - 1)
+        weights = np.clip(dens.reshape(rows.size, -1) * grid.cell_volume, 0.0, None)
+        weights /= weights.sum(axis=1, keepdims=True)
+        cdf = np.cumsum(weights, axis=1)
+        cdf /= cdf[:, -1:]
+        x_f = np.empty((rows.size, dim))
+        todo = np.arange(rows.size)
+        for _ in range(MAX_SAMPLER_TRIES):
+            u = np.empty(todo.size)
+            jitter = np.empty((todo.size, dim))
+            noise = np.empty((todo.size, dim))
+            for j, i in enumerate(todo):
+                rng = rngs[rows[i]]
+                u[j] = rng.random()
+                jitter[j] = rng.uniform(-half, half, size=dim)
+                noise[j] = rng.standard_normal(dim)
+            picked = np.count_nonzero(cdf[todo] <= u[:, None], axis=1)
+            x = nodes[picked] + jitter + sigma * noise
+            inside = np.all((x >= lo) & (x <= hi), axis=1)
+            x_f[todo[inside]] = x[inside]
+            todo = todo[~inside]
+            if not todo.size:
+                break
+        else:
+            raise RuntimeError(
+                f"flash position rejected {MAX_SAMPLER_TRIES} times; grid is "
+                "far too small relative to r_C"
+            )
+
+        factor = collapse_factor(coords, x_f, params.r_C)
+        if n == 1:
+            amps *= factor
+        else:
+            for p in range(n):
+                mine = k == p
+                amps[mine] *= factor[mine].reshape(spread(p))
+        norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=space) * psi0.volume_element)
+        null = np.flatnonzero(norms <= 1e-14)
+        if null.size:
+            j = null[0]
+            raise TrajectoryError(
+                f"trajectory {seeds[rows[j]]}: normalization failed after "
+                f"flash at t={t[j]:.6g}, particle {k[j]}, "
+                f"x_f={tuple(float(c) for c in x_f[j])}: state norm "
+                f"{norms[j]:.3e} is numerically null"
+            )
+        amps /= norms.reshape(column)
+        if r_gm is not None:
+            shape = profile_shape(x_f, params, grid, softening)
+            scales = r_gm[k]
+            total = np.zeros(amps.shape)
+            for l in range(n):
+                total = total + (
+                    scales[:, l].reshape((-1,) + (1,) * dim) * shape
+                ).reshape(spread(l))
+            amps *= np.exp(1j * total)
+        counts[rows] += 1
+        if record:
+            for j, r in enumerate(rows):
+                logs[r].append(FlashEvent(float(t[j]), int(k[j]), x_f[j]))
+
+    return final, counts, logs, shots
 
 
 def run_trajectory(
@@ -207,61 +379,19 @@ def run_trajectory(
 ) -> Trajectory:
     """One stochastic trajectory, bitwise deterministic given (seed, master).
 
-    With G = 0 the gravitational kick is the identity and consumes no
-    randomness, so the run reproduces the vanilla GRW process event by
-    event on the same stream.
+    The one-row case of the lockstep stepper, with its flash log and
+    snapshots.  With G = 0 the gravitational kick is the identity and
+    consumes no randomness, so the run reproduces the vanilla GRW process
+    event by event on the same stream.
     """
-    diags = validate_params(params)
-    if diags:
-        raise ValueError("invalid params: " + "; ".join(diags))
-    if abs(psi0.norm() - 1.0) > 1e-8:
-        raise ValueError("initial state must be normalized")
-    if psi0.n_particles != params.n_particles:
-        raise ValueError("params and state disagree on particle count")
-    warn_if_near_boundary(psi0)
-
-    grid = psi0.grid
-    softening = config.softening_for(grid)
-    has_gravity = params.G != 0.0
-    total_time = config.total_time
-    snap_times = set(config.snapshot_times)
-
-    rng = rng_stream(master_seed, seed)
-    psi = psi0
-    t = 0.0
-    flashes: list[FlashEvent] = []
-    snapshots: list = []
-    if 0.0 in snap_times:
-        snapshots.append((0.0, psi))
-
-    while True:
-        wait, k = next_flash(rng, params.n_particles, params.lam)
-        t_event = t + wait
-        psi = _free_flight(
-            psi, config, t, min(t_event, total_time), snap_times, snapshots
-        )
-        if t_event > total_time:
-            t = total_time
-            break
-        t = t_event
-        x_f = sample_flash_position(psi, k, rng, params.r_C)
-        try:
-            psi = normalize(apply_collapse(psi, k, x_f, params.r_C))
-        except NullStateError as exc:
-            raise TrajectoryError(
-                f"normalization failed after flash at t={t:.6g}, particle {k}, "
-                f"x_f={tuple(x_f)}: {exc}"
-            ) from exc
-        if has_gravity:
-            profile = phase_profile(x_f, params, k, grid, softening)
-            psi = apply_gravitational_kick(psi, profile)
-        flashes.append(FlashEvent(time=t, particle=k, position=tuple(x_f)))
-
+    final, _, logs, shots = _lockstep(
+        psi0, params, config, master_seed, [seed], record=True
+    )
     return Trajectory(
         seed=seed,
-        flashes=tuple(flashes),
-        snapshots=tuple(snapshots),
-        final_state=psi,
+        flashes=tuple(logs[0]),
+        snapshots=tuple(shots[0]),
+        final_state=psi0.with_amplitudes(final[0]),
     )
 
 
@@ -269,17 +399,21 @@ def run_trajectory(
 class EnsembleResult:
     """Equal-weight trajectory average at time T plus error diagnostics.
 
-    ``batch_sums``/``batch_sizes`` hold partial projector sums over fixed
-    trajectory batches (independent of worker count); they feed the
-    trace-distance noise estimate.  ``entry_se`` is the elementwise Monte
-    Carlo standard error of the density-matrix entries.
+    Trajectories run in fixed batches (independent of worker count), each
+    batch advanced in lockstep and reduced to its projector sum with
+    ``einsum``.  ``split_sums[s]`` is the sum over the batches whose index
+    has bit s clear, for s < floor(log2(len(batch_sizes))): the half-split
+    sums that feed the trace-distance noise estimate, accumulated while the
+    run goes, so memory does not grow with the batch count.  ``entry_se``
+    is the elementwise Monte Carlo standard error of the density-matrix
+    entries.
     """
 
     rho: DensityMatrix
     flash_counts: np.ndarray
     mean_positions: np.ndarray       # (n_traj, n_particles, dim), final states
     entry_se: np.ndarray
-    batch_sums: np.ndarray
+    split_sums: np.ndarray
     batch_sizes: np.ndarray
     n_traj: int
     master_seed: int
@@ -288,24 +422,57 @@ class EnsembleResult:
         return self.mean_positions[:, k, :]
 
 
+def _position_means(amps: np.ndarray, grid: GridSpec, n_particles: int):
+    """``expectation_position`` of every particle, for a stack of states."""
+    dim = grid.dim
+    prob = np.abs(amps) ** 2
+    n_axes = dim * n_particles
+    out = np.empty((amps.shape[0], n_particles, dim))
+    for k in range(n_particles):
+        other = tuple(1 + a for a in range(n_axes) if a // dim != k)
+        dens = prob.sum(axis=other) * grid.cell_volume ** (n_particles - 1)
+        for a in range(dim):
+            rest = tuple(1 + i for i in range(dim) if i != a)
+            marg = dens.sum(axis=rest) if rest else dens
+            out[:, k, a] = np.sum(grid.axis(a) * marg, axis=1) * grid.cell_volume
+    return out
+
+
 def _trajectory_batch(args):
-    psi0, params, config, master_seed, start, stop, want_moments = args
-    b = psi0.grid.basis_size**psi0.n_particles
-    outer_sum = np.zeros((b, b), dtype=np.complex128)
-    abs2_sum = np.zeros((b, b))
-    counts = np.empty(stop - start, dtype=np.int64)
-    means = np.empty((stop - start, psi0.n_particles, psi0.grid.dim))
-    for i, seed in enumerate(range(start, stop)):
-        traj = run_trajectory(psi0, params, config, seed, master_seed)
-        v = traj.final_state.amplitudes.ravel()
-        proj = np.outer(v, v.conj())
-        outer_sum += proj
-        abs2_sum += np.abs(proj) ** 2
-        counts[i] = len(traj.flashes)
-        if want_moments:
-            for k in range(psi0.n_particles):
-                means[i, k] = expectation_position(traj.final_state, k)
-    return outer_sum, abs2_sum, counts, means
+    """Lockstep-run one batch; reduce it to its projector and |.|^2 sums."""
+    psi0, params, config, master_seed, start, stop = args
+    final, counts, _, _ = _lockstep(
+        psi0, params, config, master_seed, range(start, stop)
+    )
+    v = final.reshape(stop - start, -1)
+    a = np.abs(v) ** 2
+    means = _position_means(final, psi0.grid, psi0.n_particles)
+    return _projector_sum(v), np.einsum("bi,bj->ij", a, a), counts, means
+
+
+def _projector_sum(v: np.ndarray) -> np.ndarray:
+    """sum_b v_b v_b^dag over the rows of v, exactly Hermitian, without BLAS.
+
+    With v = x + i y, the real part is [x; y]^T [x; y] and the imaginary
+    part is w - w^T with w = y^T x: two real ``einsum`` products, cheaper
+    than one complex ``einsum``.
+    """
+    xy = np.concatenate([v.real, v.imag])
+    x, y = xy[:len(v)], xy[len(v):]
+    out = np.empty((v.shape[1],) * 2, dtype=np.complex128)
+    out.real = np.einsum("bi,bj->ij", xy, xy)
+    w = np.einsum("bi,bj->ij", y, x)
+    np.subtract(w, w.T, out=out.imag)
+    return out
+
+
+def _batches(tasks, workers):
+    """Batch results in task order, computed by ``workers`` processes."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_trajectory_batch, tasks)
+    else:
+        yield from map(_trajectory_batch, tasks)
 
 
 def run_ensemble(
@@ -322,7 +489,9 @@ def run_ensemble(
     Trajectory i always runs on Philox stream (master_seed, i); reduction
     happens per fixed-size batch and batches are combined in index order,
     so the result is bitwise independent of the worker count (0 picks one
-    worker per core; a negative count is an error).
+    worker per core; a negative count is an error).  Batch sums are added
+    into the totals as they arrive, so a serial run holds one batch's sums
+    at a time.
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories")
@@ -336,28 +505,25 @@ def run_ensemble(
     bounds = [
         (s, min(s + batch_size, n_traj)) for s in range(0, n_traj, batch_size)
     ]
-    tasks = [
-        (psi0, params, config, master_seed, s, e, True) for s, e in bounds
-    ]
+    tasks = [(psi0, params, config, master_seed, s, e) for s, e in bounds]
     if workers == 0:
         workers = os.cpu_count() or 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trajectory_batch, tasks))
-    else:
-        results = [_trajectory_batch(t) for t in tasks]
-
+    n_splits = len(bounds).bit_length() - 1
     outer_total = np.zeros((b, b), dtype=np.complex128)
     abs2_total = np.zeros((b, b))
+    split_sums = np.zeros((n_splits, b, b), dtype=np.complex128)
     counts = []
     means = []
-    batch_sums = []
-    for outer_sum, abs2_sum, cnt, mean in results:
+    for index, (outer_sum, abs2_sum, cnt, mean) in enumerate(
+        _batches(tasks, workers)
+    ):
         outer_total += outer_sum
         abs2_total += abs2_sum
+        for s in range(n_splits):
+            if not (index >> s) & 1:
+                split_sums[s] += outer_sum
         counts.append(cnt)
         means.append(mean)
-        batch_sums.append(outer_sum)
 
     rho_entries = outer_total / n_traj
     var = np.maximum(abs2_total - n_traj * np.abs(rho_entries) ** 2, 0.0)
@@ -367,7 +533,7 @@ def run_ensemble(
         flash_counts=np.concatenate(counts),
         mean_positions=np.concatenate(means, axis=0),
         entry_se=entry_se,
-        batch_sums=np.array(batch_sums),
+        split_sums=split_sums,
         batch_sizes=np.array([e - s for s, e in bounds]),
         n_traj=n_traj,
         master_seed=master_seed,
@@ -380,22 +546,19 @@ def trace_distance_se(result: EnsembleResult) -> float:
     Disjoint half-ensembles A and B are compared: rho_A - rho_B has twice
     the statistical error of the full mean, so TD(A, B)/2 estimates the
     expected trace distance between the full ensemble and the infinite-n
-    limit.  Several deterministic batch splits are averaged.
+    limit.  The floor(log2 m) splits by batch-index bit are averaged; B is
+    the full sum less A.
     """
-    sums = result.batch_sums
-    sizes = result.batch_sizes.astype(float)
-    m = len(sums)
-    if m < 2:
+    sizes = result.batch_sizes
+    if len(sizes) < 2:
         raise ValueError("need at least two batches for a split estimate")
-    n_splits = max(1, int(math.log2(m)))
     grid, n_part = result.rho.grid, result.rho.n_particles
+    total = result.rho.entries * result.n_traj
     estimates = []
-    for s in range(n_splits):
-        pick = (np.arange(m) >> s) & 1 == 0
-        if pick.all() or (~pick).all():
-            continue
-        rho_a = sums[pick].sum(axis=0) / sizes[pick].sum()
-        rho_b = sums[~pick].sum(axis=0) / sizes[~pick].sum()
+    for s, sum_a in enumerate(result.split_sums):
+        n_a = sizes[(np.arange(len(sizes)) >> s) & 1 == 0].sum()
+        rho_a = sum_a / n_a
+        rho_b = (total - sum_a) / (result.n_traj - n_a)
         td = trace_distance(
             DensityMatrix(grid, n_part, rho_a), DensityMatrix(grid, n_part, rho_b)
         )
@@ -504,24 +667,37 @@ def master_generator(
 ) -> np.ndarray:
     """Right-hand side of the master equation, as kernel-value entries.
 
-    Precomputed ``kernels`` may be supplied to amortize setup across
-    repeated calls (the integrator does).  A kinetic H0 adds
-    -(i/hbar)[H0, rho], applied as one ``fftn`` over all ket and bra axes,
-    a multiply by (E_ket - E_bra)/hbar and one ``ifftn``: H0 is real
-    symmetric, so rho H0 is the same filter applied on the bra axes.
+    Precomputed ``kernels`` may be supplied to amortize the kernel build
+    across calls.  A kinetic H0 adds -(i/hbar)[H0, rho], applied as one
+    ``fftn`` over all ket and bra axes, a multiply by (E_ket - E_bra)/hbar
+    and one ``ifftn``: H0 is real symmetric, so rho H0 is the same filter
+    applied on the bra axes.
     """
     if kernels is None:
         kernels = flash_kernel_matrices(
             rho.grid, params, config.softening_for(rho.grid)
         )
-    q = params.lam * (sum(kernels) - params.n_particles)
-    out = q * rho.entries
-    ham = config.free_hamiltonian
-    if ham.kind != "none":
-        e = _kinetic_energies(rho.grid, ham, rho.n_particles).ravel()
-        shape = rho.grid.joint_shape(rho.n_particles) * 2
-        spectral = np.fft.fftn(rho.entries.reshape(shape))
-        spectral *= (e[:, None] - e[None, :]).reshape(shape)
+    return _generator(
+        rho.entries,
+        params.lam * (sum(kernels) - params.n_particles),
+        _commutator_filter(rho.grid, config.free_hamiltonian, rho.n_particles),
+    )
+
+
+def _commutator_filter(grid: GridSpec, ham: FreeHamiltonian, n_particles: int):
+    """(E_ket - E_bra)/hbar over the joint ket and bra k axes; None for H0 = 0."""
+    if ham.kind == "none":
+        return None
+    e = _kinetic_energies(grid, ham, n_particles).ravel()
+    return (e[:, None] - e[None, :]).reshape(grid.joint_shape(n_particles) * 2)
+
+
+def _generator(entries: np.ndarray, q: np.ndarray, filt) -> np.ndarray:
+    """Q o rho, minus i times the commutator filter's result when there is one."""
+    out = q * entries
+    if filt is not None:
+        spectral = np.fft.fftn(entries.reshape(filt.shape))
+        spectral *= filt
         out = out - 1j * np.fft.ifftn(spectral).reshape(out.shape)
     return out
 
@@ -540,9 +716,10 @@ def master_evolve(
     is Hermitian whenever rho0 is, and the trace it loses to the wrapped
     kernels (see ``flash_kernel_matrices``) belongs to the model.
 
-    A kinetic H0 is integrated with classical RK4 on ``master_generator``,
-    whose commutator costs one FFT pair per stage, with steps no longer than
-    ``dt`` (when given) nor than the stability bound
+    A kinetic H0 is integrated with classical RK4 on the generator of
+    ``master_generator``, with Q and the commutator filter built once per
+    run and one FFT pair per stage, with steps no longer than ``dt`` (when
+    given) nor than the stability bound
     0.05 / (2 lam N + sqrt(b) max|H0| / hbar).  H0 is positive
     semidefinite, so max|H0| is a diagonal entry, and each diagonal entry is
     the mean of its eigenvalues over the joint k grid.  The result must keep
@@ -558,9 +735,9 @@ def master_evolve(
     kernels = flash_kernel_matrices(
         rho0.grid, params, config.softening_for(rho0.grid)
     )
+    q = params.lam * (sum(kernels) - params.n_particles)
     ham = config.free_hamiltonian
     if ham.kind == "none":
-        q = params.lam * (sum(kernels) - params.n_particles)
         return rho0.with_entries(np.exp(total_time * q) * rho0.entries)
 
     energies = _kinetic_energies(rho0.grid, ham, rho0.n_particles)
@@ -569,15 +746,15 @@ def master_evolve(
     max_step = 0.05 / rate_scale if dt is None else min(dt, 0.05 / rate_scale)
     n_steps = max(1, math.ceil(total_time / max_step))
     step = total_time / n_steps
-    gen_args = (params, config, kernels)
-    rho = rho0
+    filt = _commutator_filter(rho0.grid, ham, rho0.n_particles)
+    ent = rho0.entries
     for _ in range(n_steps):
-        ent = rho.entries
-        k1 = master_generator(rho, *gen_args)
-        k2 = master_generator(rho.with_entries(ent + 0.5 * step * k1), *gen_args)
-        k3 = master_generator(rho.with_entries(ent + 0.5 * step * k2), *gen_args)
-        k4 = master_generator(rho.with_entries(ent + step * k3), *gen_args)
-        rho = rho.with_entries(ent + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
+        k1 = _generator(ent, q, filt)
+        k2 = _generator(ent + 0.5 * step * k1, q, filt)
+        k3 = _generator(ent + 0.5 * step * k2, q, filt)
+        k4 = _generator(ent + step * k3, q, filt)
+        ent = ent + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    rho = rho0.with_entries(ent)
     trace_drift = abs(rho.trace().real - rho0.trace().real)
     herm_drift = float(np.max(np.abs(rho.entries - rho.entries.conj().T)))
     if not (trace_drift < 1e-8 and herm_drift < 1e-9):

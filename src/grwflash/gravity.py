@@ -115,29 +115,37 @@ def phase_profile(
     x_f = np.atleast_1d(np.asarray(x_f, dtype=float))
     if x_f.shape != (grid.dim,):
         raise ValueError(f"flash position must have {grid.dim} components")
+    scales = tuple(float(s) for s in params.r_G_matrix()[k])
+    return PhaseProfile(
+        shape=profile_shape(x_f, params, grid, softening), pair_scales=scales
+    )
 
+
+def profile_shape(
+    x_f: np.ndarray, params: PhysicalParams, grid: GridSpec, softening: float
+) -> np.ndarray:
+    """The radial profile of ``phase_profile`` for flashes at x_f.
+
+    ``x_f`` of shape (B, dim) gives B profiles stacked on a leading axis,
+    each equal to the one of its row alone.
+    """
+    lead = x_f.shape[:-1]
     r2 = None
     for a, xa in enumerate(grid.axes()):
-        d2 = (xa - x_f[a]) ** 2
-        r2 = d2 if r2 is None else np.add.outer(r2, d2)
+        d2 = (xa - x_f[..., a, None]) ** 2
+        r2 = d2 if r2 is None else r2[..., None] + d2.reshape(lead + (1,) * a + (-1,))
     r = np.sqrt(r2)
-
-    kind = params.smearing.kind
-    if kind == "sharp":
-        if softening == 0.0:
-            if grid.dim == 1:
-                raise ValueError("the 1D harness requires softening a > 0")
-            if np.min(r) == 0.0:
-                raise ValueError(
-                    "sharp phase undefined: flash position coincides with a "
-                    "grid point and softening is zero"
-                )
-        shape = softened_inverse_distance(r, softening)
-    else:
-        shape = smeared_newton_potential(r, params.smearing.width)
-
-    scales = tuple(float(s) for s in params.r_G_matrix()[k])
-    return PhaseProfile(shape=shape, pair_scales=scales)
+    if params.smearing.kind != "sharp":
+        return smeared_newton_potential(r, params.smearing.width)
+    if softening == 0.0:
+        if grid.dim == 1:
+            raise ValueError("the 1D harness requires softening a > 0")
+        if np.min(r) == 0.0:
+            raise ValueError(
+                "sharp phase undefined: flash position coincides with a "
+                "grid point and softening is zero"
+            )
+    return softened_inverse_distance(r, softening)
 
 
 def apply_gravitational_kick(psi: WaveFunction, profile: PhaseProfile) -> WaveFunction:

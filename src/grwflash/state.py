@@ -87,12 +87,15 @@ class GridSpec:
     def joint_shape(self, n_particles: int) -> tuple[int, ...]:
         return (self.n_points,) * (self.dim * n_particles)
 
+    def bounds(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Per-axis (lo, hi) of the cell-covered box: half a cell of margin."""
+        lo = tuple(o - self.spacing / 2 for o in self.origin)
+        return lo, tuple(c + self.extent for c in lo)
+
     def contains(self, x: np.ndarray) -> bool:
-        """True if x lies inside the cell-covered box (half a cell of margin)."""
-        x = np.atleast_1d(x)
-        lo = np.asarray(self.origin) - self.spacing / 2
-        hi = lo + self.extent
-        return bool(np.all(x >= lo) and np.all(x <= hi))
+        """True if x lies inside the cell-covered box, bounds included."""
+        lo, hi = self.bounds()
+        return all(a <= c <= b for a, c, b in zip(lo, np.atleast_1d(x), hi, strict=True))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -11,6 +12,8 @@ from grwflash.dynamics import (
     EvolutionConfig,
     FreeHamiltonian,
     StepControlError,
+    TrajectoryError,
+    _lockstep,
     ensemble_vs_master_check,
     exact_diagonal_solution,
     flash_kernel_matrices,
@@ -22,6 +25,7 @@ from grwflash.dynamics import (
     run_trajectory,
     trace_distance_se,
 )
+from grwflash.gravity import apply_gravitational_kick, phase_profile
 from grwflash.state import (
     DensityMatrix,
     GridSpec,
@@ -190,6 +194,141 @@ def test_trajectory_input_validation():
         EvolutionConfig(total_time=-1.0)
 
 
+def test_trajectory_snapshots_split_flight_in_time_order():
+    # lam T = 0.2: most trajectories fly from 0 to T past every snapshot in
+    # one flight, which must stop at them in time order, once each
+    params = dimensionless_params(lam=0.1, r_G=0.2)
+    ham = FreeHamiltonian.kinetic([1.0])
+    snaps = (0.0, 0.5, 1.0, 2.0)
+    cfg = EvolutionConfig(total_time=2.0, free_hamiltonian=ham, snapshot_times=snaps)
+    plain = EvolutionConfig(total_time=2.0, free_hamiltonian=ham)
+    psi0 = make_gaussian_packet(GRID, 1, [[0.0]], [0.75], [[0.5]])
+    n_quiet = 0
+    for seed in range(6):
+        traj = run_trajectory(psi0, params, cfg, seed=seed, master_seed=2)
+        assert tuple(t for t, _ in traj.snapshots) == snaps
+        alone = run_trajectory(psi0, params, plain, seed=seed, master_seed=2)
+        assert traj.flashes == alone.flashes
+        assert np.max(np.abs(
+            traj.final_state.amplitudes - alone.final_state.amplitudes
+        )) < 1e-12
+        if not traj.flashes:
+            n_quiet += 1
+            for t, snap in traj.snapshots:
+                exact = free_step(psi0, cfg, t)
+                assert np.max(np.abs(snap.amplitudes - exact.amplitudes)) < 1e-12
+    assert n_quiet > 0
+
+
+def _reference_rows(psi0, params, cfg, master_seed, seeds):
+    """Trajectories from the single-state primitives, one at a time.
+
+    Returns the final states, the flash counts, and how many flashes needed
+    more than one sampler try.
+    """
+    grid, n = psi0.grid, params.n_particles
+    softening = cfg.softening_for(grid)
+    finals, counts, redraws = [], [], 0
+    for seed in seeds:
+        rng = rng_stream(master_seed, seed)
+        psi, t, count = psi0, 0.0, 0
+        while True:
+            dt, k = next_flash(rng, n, params.lam)
+            psi = free_step(psi, cfg, min(t + dt, cfg.total_time) - t)
+            t += dt
+            if t > cfg.total_time:
+                break
+            try:
+                sample_flash_position(psi, k, copy.deepcopy(rng), params.r_C,
+                                      max_tries=1)
+            except RuntimeError:
+                redraws += 1
+            x_f = sample_flash_position(psi, k, rng, params.r_C)
+            psi = normalize(apply_collapse(psi, k, x_f, params.r_C))
+            if params.G != 0.0:
+                profile = phase_profile(x_f, params, k, grid, softening)
+                psi = apply_gravitational_kick(psi, profile)
+            count += 1
+        finals.append(psi.amplitudes)
+        counts.append(count)
+    return np.array(finals), np.array(counts), redraws
+
+
+def _small_box_packet(grid, width):
+    """Centred Gaussian on a box of a few r_C, where flashes often land outside."""
+    g = np.exp(-(grid.axis(0) ** 2) / (2 * width**2))
+    amps = g
+    for _ in range(grid.dim - 1):
+        amps = np.multiply.outer(amps, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the tails reach the edge
+        return normalize(WaveFunction(grid, 1, amps))
+
+
+_STEPPER_CASES = {
+    "1d-one-particle-gravity": (
+        packet(),
+        dimensionless_params(lam=1.0, r_G=0.3),
+        EvolutionConfig(total_time=2.0),
+    ),
+    "1d-two-kinetic-particles": (
+        make_gaussian_packet(GridSpec.centered(1, 24, 0.5), 2, [[-1.5], [1.5]],
+                             [1.0, 1.0], [[0.5], [-0.3]]),
+        PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 2.0)),
+        EvolutionConfig(total_time=2.0,
+                        free_hamiltonian=FreeHamiltonian.kinetic([1.0, 2.0])),
+    ),
+    "3d-small-box": (
+        _small_box_packet(GridSpec.centered(3, 8, 0.5), 0.8),
+        dimensionless_params(lam=1.0, r_G=0.2),
+        EvolutionConfig(total_time=1.5,
+                        free_hamiltonian=FreeHamiltonian.kinetic([1.0])),
+    ),
+    "1d-small-box": (
+        _small_box_packet(GridSpec.centered(1, 8, 0.25), 0.5),
+        dimensionless_params(lam=2.0, r_G=0.3),
+        EvolutionConfig(total_time=2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STEPPER_CASES))
+def test_lockstep_rows_match_primitive_reference_loop(case):
+    psi0, params, cfg = _STEPPER_CASES[case]
+    n_traj = 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref, ref_counts, redraws = _reference_rows(psi0, params, cfg, 13, range(n_traj))
+        rows, counts, _, _ = _lockstep(psi0, params, cfg, 13, range(n_traj))
+        res = run_ensemble(psi0, params, cfg, n_traj, master_seed=13, batch_size=4)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(res.flash_counts, ref_counts)
+    assert ref_counts.sum() > n_traj
+    assert np.max(np.abs(rows - ref)) <= 1e-14
+    direct = density_from_ensemble(
+        [psi0.with_amplitudes(a) for a in ref], [1.0 / n_traj] * n_traj
+    )
+    assert np.max(np.abs(res.rho.entries - direct.entries)) < 1e-14
+    if "box" in case:
+        assert redraws > 0
+
+
+def test_trajectory_error_names_the_null_flash():
+    # r_C far below the cell: the in-cell jitter alone puts the flash so far
+    # from the one occupied node that the collapse factor underflows to 0
+    grid = GridSpec.centered(1, 16, 0.25)
+    amps = np.zeros(16)
+    amps[8] = 1.0 / math.sqrt(grid.spacing)
+    psi0 = WaveFunction(grid, 1, amps)
+    params = PhysicalParams(lam=50.0, r_C=1e-3, G=0.0, hbar=1.0, masses=(1.0,))
+    with pytest.raises(TrajectoryError) as info:
+        run_trajectory(psi0, params, EvolutionConfig(total_time=1.0), seed=3)
+    message = str(info.value)
+    assert message.startswith("trajectory 3: normalization failed after flash at t=")
+    assert "particle 0, x_f=(" in message
+    assert "numerically null" in message
+
+
 # ------------------------------------------------------------------- ensembles
 
 def test_ensemble_of_identical_trajectories_is_pure():
@@ -259,6 +398,36 @@ def test_unraveling_error_scales_like_inverse_sqrt_n():
         run_ensemble(packet(), params, cfg, 1024, master_seed=7).rho, oracle
     )
     assert 1.3 < td_small / td_big < 3.2  # 4x samples: expect about 2x
+
+
+def test_trace_distance_se_matches_explicit_batch_sums():
+    # today's estimate from stored per-batch projector sums, against the
+    # half-split sums the ensemble accumulates while it runs
+    params = dimensionless_params(lam=1.0, r_G=0.3)
+    cfg = EvolutionConfig(total_time=1.0)
+    n_traj, batch_size = 22, 4             # six batches, the last one of two
+    res = run_ensemble(packet(), params, cfg, n_traj, master_seed=9,
+                       batch_size=batch_size)
+    sums, sizes = [], []
+    for start in range(0, n_traj, batch_size):
+        seeds = range(start, min(start + batch_size, n_traj))
+        acc = 0
+        for seed in seeds:
+            v = run_trajectory(packet(), params, cfg, seed, 9).final_state.amplitudes
+            acc = acc + np.outer(v.ravel(), v.ravel().conj())
+        sums.append(acc)
+        sizes.append(len(seeds))
+    sums, sizes = np.array(sums), np.array(sizes, dtype=float)
+    assert res.batch_sizes.tolist() == sizes.tolist()
+    assert res.split_sums.shape == (2,) + res.rho.entries.shape
+    estimates = []
+    for s in range(int(math.log2(len(sums)))):
+        pick = (np.arange(len(sums)) >> s) & 1 == 0
+        rho_a = res.rho.with_entries(sums[pick].sum(axis=0) / sizes[pick].sum())
+        rho_b = res.rho.with_entries(sums[~pick].sum(axis=0) / sizes[~pick].sum())
+        estimates.append(trace_distance(rho_a, rho_b) / 2.0)
+    expected = float(np.mean(estimates))
+    assert abs(trace_distance_se(res) - expected) <= 1e-12 * expected
 
 
 def test_ensemble_requires_two_trajectories():

@@ -46,6 +46,20 @@ def test_grid_validation():
     assert g.extent == 4.0
 
 
+def test_grid_contains_is_inclusive_per_axis():
+    g = GridSpec(3, 8, 0.5, (-2.0, 0.0, 1.0))
+    lo, hi = g.bounds()
+    assert lo == (-2.25, -0.25, 0.75) and hi == (1.75, 3.75, 4.75)
+    assert g.contains(np.array(lo)) and g.contains(np.array(hi))
+    for a in range(3):
+        for edge, step in ((lo, -1e-9), (hi, 1e-9)):
+            x = np.array(edge)
+            x[a] += step
+            assert not g.contains(x)
+    with pytest.raises(ValueError):
+        g.contains(np.zeros(2))
+
+
 def test_packet_centered_moments():
     psi = make_gaussian_packet(grid1d(), 1, [[0.0]], [1.0])
     assert abs(psi.norm() - 1.0) < 1e-10
