@@ -77,7 +77,6 @@ from .state import (
     position_density,
     pure_density,
     save_state,
-    state_to_csv,
     trace_distance,
     trace_out,
 )

@@ -401,21 +401,3 @@ def load_state(path) -> WaveFunction:
     grid = GridSpec(dim, n_points, spacing, origin)
     amps = np.frombuffer(buf.read(), dtype="<c16").astype(np.complex128)
     return WaveFunction(grid, n_particles, amps)
-
-
-def state_to_csv(psi: WaveFunction, path, max_rows: int = 100_000) -> None:
-    """Plain-text dump (index columns, coordinates, re, im) for small grids."""
-    if psi.amplitudes.size > max_rows:
-        raise ValueError(f"grid too large for CSV ({psi.amplitudes.size} rows)")
-    grid = psi.grid
-    coords = [grid.axis(a % grid.dim) for a in range(grid.dim * psi.n_particles)]
-    names = []
-    for k in range(psi.n_particles):
-        for a in range(grid.dim):
-            names.append(f"x{k}" + ("xyz"[a] if grid.dim > 1 else ""))
-    with open(path, "w") as fh:
-        fh.write(",".join(names + ["re", "im"]) + "\n")
-        for idx in np.ndindex(psi.amplitudes.shape):
-            vals = [f"{coords[d][i]!r}" for d, i in enumerate(idx)]
-            amp = psi.amplitudes[idx]
-            fh.write(",".join(vals + [repr(amp.real), repr(amp.imag)]) + "\n")

@@ -623,6 +623,53 @@ def test_master_evolve_kinetic_rk4_matches_superoperator_exponential():
         assert np.max(np.abs(out.entries - ref)) < 1e-8 * scale
 
 
+def test_master_evolve_kinetic_two_particles_match_superoperator_exponential():
+    # two particles of different mass: the split flows against expm of the
+    # full 1296 x 1296 generator, H0 built densely per particle axis
+    grid = GridSpec.centered(1, 6, 0.8)
+    masses, hbar = (1.0, 2.0), 1.3
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=hbar, masses=masses)
+    cfg = EvolutionConfig(
+        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic(masses, hbar)
+    )
+    rng = np.random.default_rng(6)
+    amps = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho0 = pure_density(normalize(WaveFunction(grid, 2, amps)))
+    kernels = flash_kernel_matrices(grid, params, softening=grid.spacing / 2)
+    q = params.lam * (sum(kernels) - 2)
+    h = _dense_kinetic_hamiltonian(grid, masses, hbar)
+    eye = np.eye(h.shape[0])
+    gen = np.diag(q.ravel()) - 1j / hbar * (np.kron(h, eye) - np.kron(eye, h.T))
+    ref = (expm(cfg.total_time * gen) @ rho0.entries.ravel()).reshape(q.shape)
+    scale = np.max(np.abs(rho0.entries))
+    assert np.max(np.abs(ref - rho0.entries)) > 0.1 * scale
+    out = master_evolve(rho0, params, cfg)
+    assert np.max(np.abs(out.entries - ref)) < 1e-8 * scale
+
+
+def test_master_evolve_kinetic_trace_follows_wrapped_kernel_law():
+    # on an 8 r_C box the wrapped kernels lose lam N T erfc(4) = 1.5e-8 of
+    # trace; the guard compares with that law, tr(rho0) exp(T Q[0, 0])
+    grid = GridSpec(1, 16, 0.5, (-4.0,))
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 1.0))
+    rng = np.random.default_rng(11)
+    amps = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rho0 = pure_density(normalize(WaveFunction(grid, 2, amps)))
+    cfg = EvolutionConfig(
+        total_time=0.5, free_hamiltonian=FreeHamiltonian.kinetic([1.0, 1.0])
+    )
+    out = master_evolve(rho0, params, cfg)
+    kernels = flash_kernel_matrices(grid, params, softening=grid.spacing / 2)
+    q00 = params.lam * (sum(kernels)[0, 0].real - 2)
+    law = rho0.trace().real * math.exp(cfg.total_time * q00)
+    assert 1e-8 < 1.0 - law < 2e-8
+    assert abs(out.trace().real - law) < 1e-12
+
+
 def test_master_evolve_guard_rejects_non_hermitian_result():
     grid = GridSpec.centered(1, 24, 0.5)
     params = dimensionless_params(lam=1.0, r_G=0.3)
@@ -727,6 +774,27 @@ def test_verify_check_kinetic_trajectories_match_oracle():
     static = master_evolve(pure_density(psi0), params,
                            EvolutionConfig(total_time=1.0))
     assert trace_distance(oracle, static) > 5 * 3 * report.std_error
+
+
+def test_verify_check_two_particle_kinetic_trajectories_match_oracle():
+    # two particles of different mass flying apart, b = 400: lockstep
+    # trajectories against the split-flow oracle
+    grid = GridSpec.centered(1, 20, 0.5)
+    masses = (1.0, 2.0)
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=masses)
+    psi0 = make_gaussian_packet(
+        grid, 2, [[0.0], [0.0]], [1.0, 1.0], [[1.5], [-1.5]]
+    )
+    cfg = EvolutionConfig(
+        total_time=0.5, free_hamiltonian=FreeHamiltonian.kinetic(masses)
+    )
+    report, _, oracle = ensemble_vs_master_check(
+        psi0, params, cfg, 2048, master_seed=3, se_limit=0.05
+    )
+    assert report.passed, report.summary()
+    static = master_evolve(pure_density(psi0), params,
+                           EvolutionConfig(total_time=0.5))
+    assert trace_distance(oracle, static) > 3 * 3 * report.std_error
 
 
 def test_verify_check_passes_and_reports():

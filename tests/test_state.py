@@ -16,7 +16,6 @@ from grwflash.state import (
     position_density,
     pure_density,
     save_state,
-    state_to_csv,
     trace_distance,
     trace_out,
 )
@@ -258,16 +257,6 @@ def test_serialization_rejects_garbage(tmp_path):
     path.write_bytes(b"not a state file at all")
     with pytest.raises(ValueError):
         load_state(path)
-
-
-def test_state_csv(tmp_path):
-    grid = GridSpec(1, 8, 0.5, (-2.0,))
-    psi = random_state(3, grid)
-    path = tmp_path / "state.csv"
-    state_to_csv(psi, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x0,re,im"
-    assert len(lines) == 1 + 8
 
 
 def test_boundary_mass_detects_edge_packet():
