@@ -57,7 +57,6 @@ class QuadratureSpec:
     abs_tol: float = 1e-9
     max_evals: int = 6_000_000
     domain_margin: float = 7.0
-    method: str = "adaptive-GL7/15-cylindrical"
 
     def __post_init__(self):
         if self.domain_margin < 6.0:
@@ -103,7 +102,9 @@ def _kernel_integrand(eps: float, p: float, deficit: bool):
     pref = 2.0 / np.sqrt(np.pi)
 
     def f(z, rho):
-        w = rho * np.exp(-(rho**2 + z**2))
+        # z and rho arrive on separate axes (see integrate_adaptive): each
+        # Gaussian factor is computed on its own axis before they broadcast.
+        w = (rho * np.exp(-(rho**2))) * np.exp(-(z**2))
         if eps == 0.0:
             dphi = np.zeros_like(z)
         else:
@@ -396,7 +397,7 @@ def _potential_integrand(d: float):
     def f(z, rho):
         dist = np.sqrt(rho**2 + (z - d) ** 2)
         dist = np.maximum(dist, 1e-300)
-        return pref * rho * np.exp(-(rho**2 + z**2)) / dist
+        return pref * (rho * np.exp(-(rho**2))) * np.exp(-(z**2)) / dist
 
     return f
 

@@ -204,8 +204,7 @@ def _cmd_verify(config, args, out_dir):
     if args.tolerance is not None:
         sec["se_limit"] = args.tolerance
     psi0 = _initial_state(config, sec)
-    evo = EvolutionConfig(total_time=sec["total_time"],
-                          softening=sec.get("softening"))
+    evo = _evolution_config(sec, config)
     report, result, _oracle = ensemble_vs_master_check(
         psi0, config.params, evo, sec["n_traj"], sec["master_seed"],
         se_limit=sec["se_limit"], workers=args.threads,

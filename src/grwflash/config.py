@@ -44,8 +44,7 @@ _PARSERS = {
 }
 
 # Keys shared by the run sections, each listed once: every run section takes
-# the run and packet keys; the sections that fly the state also take the
-# flight keys.
+# the run, flight and packet keys.
 _RUN_KEYS = {
     "master_seed": ("int", 0),
     "total_time": ("float", 2.0),
@@ -91,7 +90,7 @@ SCHEMA = {
     "verify": {
         "n_traj": ("int", 512),
         "se_limit": ("float", 0.02),
-        **_RUN_KEYS, **_PACKET_KEYS,
+        **_RUN_KEYS, **_FLIGHT_KEYS, **_PACKET_KEYS,
     },
     "kernel": {
         "separations": ("float_list", (0.5, 1.0, 2.0)),

@@ -74,6 +74,30 @@ def test_gamma_realness_and_bound():
         assert abs(v) <= 1.0 + e
 
 
+# (r_G, separation) -> (Gamma, reported error) from the adaptive
+# Gauss-Legendre 7/15 engine that preceded the Gauss-Kronrod one; its
+# imaginary parts were below 2e-18.
+GAMMA_REFERENCE = {
+    (1e-3, 0.3): (0.9777509634879088, 1.8636397948504814e-07),
+    (1e-3, 1.5): (0.5697825158841759, 1.7431931009909468e-07),
+    (1e-3, 2.9): (0.12215064229282434, 1.9846319601869565e-07),
+    (1e-1, 0.3): (0.9757189852271039, 1.962777362814549e-07),
+    (1e-1, 1.5): (0.5670210898951746, 1.7909499566793372e-07),
+    (1e-1, 2.9): (0.12189418822322655, 1.917561782590831e-07),
+}
+
+
+def test_gamma_matches_reference_engine_within_its_bound():
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7)
+    for (r_g, d), (ref, ref_err) in GAMMA_REFERENCE.items():
+        pt = gamma_at_separation(d, dimensionless_params(lam=1.0, r_G=r_g), spec)
+        assert abs(pt.value - ref) <= ref_err
+    # and one short-distance deficit from the same engine
+    pt = gamma_deficit(0.005, dimensionless_params(lam=1.0, r_G=1e-4),
+                       QuadratureSpec(rel_tol=3e-4, abs_tol=1e-30))
+    assert abs(pt.value - 5.5135570749169265e-11) <= 1.58175004583756e-14
+
+
 def test_gamma_hermitian_symmetry():
     params = dimensionless_params(lam=1.0, r_G=0.05)
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=1e-8)

@@ -221,6 +221,27 @@ def test_cli_verify_on_8_rc_box(tmp_path):
     assert json.loads((out / "verify_report.json").read_text())["passed"] is True
 
 
+def test_cli_verify_kinetic(tmp_path):
+    # [verify] takes the flight keys: a moving packet under the kinetic H0
+    grid = "n_points = 32\nspacing = 0.25"
+    verify = ("\n[verify]\nn_traj = 128\ntotal_time = 2.0\nse_limit = 0.5\n"
+              "packet_width = 0.75\npacket_momentum = 1.0\n")
+    reports = {}
+    for kind in ("kinetic", "none"):
+        cfg = write(
+            tmp_path,
+            MINIMAL.replace("n_points = 48\nspacing = 0.3", grid)
+            + verify + f"hamiltonian = {kind}\n",
+            name=f"{kind}.cfg",
+        )
+        out = tmp_path / kind
+        assert main(["--config", str(cfg), "--out-dir", str(out), "verify"]) == 0
+        reports[kind] = json.loads((out / "verify_report.json").read_text())
+    assert reports["kinetic"]["passed"] is True
+    # same seeds, so only the free flight can move the verdict's numbers
+    assert reports["kinetic"]["trace_distance"] != reports["none"]["trace_distance"]
+
+
 def test_cli_kernel_slope_potential_scan(tmp_path):
     text = MINIMAL + """
 [kernel]
