@@ -42,7 +42,6 @@ from .config import ConfigError, ExperimentConfig, load_config, params_hash, sav
 from .dynamics import (
     EnsembleResult,
     EvolutionConfig,
-    FreeHamiltonian,
     Trajectory,
     TrajectoryError,
     VerifyReport,

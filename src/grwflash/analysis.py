@@ -129,9 +129,10 @@ def _kernel_quadrature(
 
     Returns the integral of exp(i dphi) (or 1 - exp(i dphi) in deficit
     mode) against the Gaussian weight, its error bound, and the evaluation
-    count.  Cached: the kernel depends on (delta, eps) only.
+    count.  Cached on (delta, eps, deficit, spec): the whole spec, so a
+    tighter evaluation budget never reuses a result it could not reach.
     """
-    key = (delta, eps, deficit, spec.rel_tol, spec.abs_tol, spec.domain_margin)
+    key = (delta, eps, deficit, spec)
     hit = _kernel_cache.get(key)
     if hit is not None:
         return hit

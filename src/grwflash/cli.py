@@ -29,7 +29,6 @@ from .analysis import (
 from .config import ConfigError, ExperimentConfig, load_config, params_hash
 from .dynamics import (
     EvolutionConfig,
-    FreeHamiltonian,
     ensemble_vs_master_check,
     run_ensemble,
     run_trajectory,
@@ -115,17 +114,10 @@ def _initial_state(config: ExperimentConfig, section: dict):
     return make_gaussian_packet(grid, n, centers, widths, momenta)
 
 
-def _evolution_config(section: dict, config: ExperimentConfig) -> EvolutionConfig:
-    ham_kind = section.get("hamiltonian", "none")
-    if ham_kind == "none":
-        ham = FreeHamiltonian.none()
-    elif ham_kind == "kinetic":
-        ham = FreeHamiltonian.kinetic(config.params.masses, config.params.hbar)
-    else:
-        raise ConfigError(f"unknown hamiltonian {ham_kind!r}")
+def _evolution_config(section: dict) -> EvolutionConfig:
     return EvolutionConfig(
         total_time=section["total_time"],
-        free_hamiltonian=ham,
+        hamiltonian=section.get("hamiltonian", "none"),
         snapshot_times=tuple(section.get("snapshot_times") or ()),
         softening=section.get("softening"),
     )
@@ -136,7 +128,7 @@ def _cmd_trajectory(config, args, out_dir):
     if args.seed is not None:
         sec["seed"] = args.seed
     psi0 = _initial_state(config, sec)
-    evo = _evolution_config(sec, config)
+    evo = _evolution_config(sec)
     traj = run_trajectory(psi0, config.params, evo, sec["seed"], sec["master_seed"])
     flash_path = os.path.join(out_dir, "flashes.csv")
     state_path = os.path.join(out_dir, "final_state.grws")
@@ -159,7 +151,7 @@ def _cmd_ensemble(config, args, out_dir):
     if args.n_traj is not None:
         sec["n_traj"] = args.n_traj
     psi0 = _initial_state(config, sec)
-    evo = _evolution_config(sec, config)
+    evo = _evolution_config(sec)
     result = run_ensemble(
         psi0, config.params, evo, sec["n_traj"], sec["master_seed"],
         workers=args.threads,
@@ -204,7 +196,7 @@ def _cmd_verify(config, args, out_dir):
     if args.tolerance is not None:
         sec["se_limit"] = args.tolerance
     psi0 = _initial_state(config, sec)
-    evo = _evolution_config(sec, config)
+    evo = _evolution_config(sec)
     report, result, _oracle = ensemble_vs_master_check(
         psi0, config.params, evo, sec["n_traj"], sec["master_seed"],
         se_limit=sec["se_limit"], workers=args.threads,

@@ -6,9 +6,12 @@ by the Gaussian localizer
     L_k(x_f) = (pi r_C^2)^(-dim/4) * exp(-(x_k - x_f)^2 / (2 r_C^2)),
 
 and the squared norm of the unnormalized result is the probability density
-for x_f.  Flash positions are kept in the continuum (never snapped to the
-grid): the Gaussian is evaluated at the exact x_f on grid points, which
-avoids grid-artifact bias in kernel estimates.
+for x_f.  The grid is a periodic box: x_k - x_f is the minimum-image
+displacement (``GridSpec.min_image``), as in the oracle's kernels and the
+gravitational kick.  Flash positions are kept in the continuum (never
+snapped to the grid) and drawn from the discrete model's Born law,
+sum_i p_i N(x_i, r_C^2/2) wrapped onto the box: a node i with its
+probability p_i, plus a Gaussian offset, with no redraws.
 
 Randomness comes from counter-based Philox streams so runs are bitwise
 reproducible and trivially parallel: stream i of master seed s is
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .state import WaveFunction, position_density
+from .state import GridSpec, WaveFunction, position_density
 
 
 @dataclass(frozen=True)
@@ -63,19 +66,20 @@ def next_flash(
     return float(dt), int(rng.integers(n_particles))
 
 
-def collapse_factor(coords: np.ndarray, x_f: np.ndarray, r_C: float) -> np.ndarray:
-    """L_k values at per-axis coordinate arrays for a flash at x_f.
+def collapse_factor(grid: GridSpec, x_f: np.ndarray, r_C: float) -> np.ndarray:
+    """L_k values on the particle grid for a flash at x_f.
 
     ``x_f`` of shape (B, dim) gives B factors stacked on a leading axis,
     each equal to the one of its row alone.
     """
     x_f = np.atleast_1d(x_f)
     lead = x_f.shape[:-1]
-    dim = len(coords)
+    dim = grid.dim
     prefactor = (np.pi * r_C**2) ** (-dim / 4.0)
     out = None
     for a in range(dim):
-        g = np.exp(-((coords[a] - x_f[..., a, None]) ** 2) / (2 * r_C**2))
+        d = grid.min_image(grid.axis(a) - x_f[..., a, None])
+        g = np.exp(-(d**2) / (2 * r_C**2))
         out = g if out is None else out[..., None] * g.reshape(lead + (1,) * a + (-1,))
     return prefactor * out
 
@@ -83,8 +87,9 @@ def collapse_factor(coords: np.ndarray, x_f: np.ndarray, r_C: float) -> np.ndarr
 def apply_collapse(psi: WaveFunction, k: int, x_f, r_C: float) -> WaveFunction:
     """Apply L_k(x_f); the result is intentionally unnormalized.
 
-    Its squared norm equals the flash-position density at x_f up to
-    discretization, which is exactly what the jump law requires.
+    Its squared norm equals the flash-position density at x_f, which is
+    exactly what the jump law requires.  x_f and its periodic images act
+    alike.
     """
     if not 0 <= k < psi.n_particles:
         raise IndexError(f"particle index {k} out of range")
@@ -92,12 +97,7 @@ def apply_collapse(psi: WaveFunction, k: int, x_f, r_C: float) -> WaveFunction:
     grid = psi.grid
     if x_f.shape != (grid.dim,):
         raise ValueError(f"flash position must have {grid.dim} components")
-    if not grid.contains(x_f):
-        raise ValueError(
-            f"flash position {tuple(x_f)} outside the grid extent; "
-            "this signals a sampling bug"
-        )
-    factor = collapse_factor(grid.axes(), x_f, r_C)
+    factor = collapse_factor(grid, x_f, r_C)
     full_shape = [1] * psi.amplitudes.ndim
     for a in psi.particle_axes(k):
         full_shape[a] = grid.n_points
@@ -108,8 +108,9 @@ def flash_position_density(psi: WaveFunction, k: int, r_C: float) -> np.ndarray:
     """Density of flash centers for particle k, on the particle grid.
 
     Equals the position density convolved with a normalized Gaussian of
-    variance r_C^2/2 per axis (the squared collapse operator), evaluated at
-    the grid nodes.  Integrates to 1 up to boundary leakage.
+    variance r_C^2/2 per axis (the squared collapse operator) at
+    minimum-image distances, evaluated at the grid nodes.  Integrates to 1
+    over the box up to the Gaussian tail beyond half a box length.
     """
     dens = position_density(psi, k)
     grid = psi.grid
@@ -118,42 +119,30 @@ def flash_position_density(psi: WaveFunction, k: int, r_C: float) -> np.ndarray:
     out = dens
     for a in range(grid.dim):
         xa = grid.axis(a)
-        kernel = np.exp(-np.subtract.outer(xa, xa) ** 2 / r_C**2) / (
-            np.sqrt(np.pi) * r_C
-        )
+        d = grid.min_image(np.subtract.outer(xa, xa))
+        kernel = np.exp(-(d**2) / r_C**2) / (np.sqrt(np.pi) * r_C)
         out = np.moveaxis(np.tensordot(kernel, out, axes=(1, a)), 0, a)
     return out * grid.cell_volume
 
 
-MAX_SAMPLER_TRIES = 1000
-
-
 def sample_flash_position(
-    psi: WaveFunction, k: int, rng: np.random.Generator, r_C: float,
-    max_tries: int = MAX_SAMPLER_TRIES,
+    psi: WaveFunction, k: int, rng: np.random.Generator, r_C: float
 ) -> np.ndarray:
-    """Two-step flash-position sampler.
+    """Draw a flash position for particle k from the discrete Born law.
 
-    Draw a grid cell from the position density (uniform within the cell),
-    then add Gaussian noise of variance r_C^2/2 per axis.  Rejection outside
-    the grid extent preserves normalization without reflecting mass;
-    experiments are sized so that rejections are ~1e-6 rare.
+    The law is sum_i p_i N(x_i, r_C^2/2) per axis, wrapped onto the periodic
+    box: one uniform picks node x_i with its probability p_i (the draw of
+    ``Generator.choice``), then ``standard_normal(dim)`` gives the offset,
+    and the sum is wrapped by ``GridSpec.wrap``.  Integrated over x_f, the
+    normalized jump it drives is the oracle's kernel channel K o rho.
     """
     dens = position_density(psi, k)
     grid = psi.grid
     p = (dens * grid.cell_volume).ravel()
     p = np.clip(p, 0.0, None)
     p /= p.sum()
-    origin = np.asarray(grid.origin)
-    sigma = r_C / np.sqrt(2.0)
-    for _ in range(max_tries):
-        cell = rng.choice(len(p), p=p)
-        node = origin + grid.spacing * np.array(np.unravel_index(cell, dens.shape))
-        u = rng.uniform(-grid.spacing / 2, grid.spacing / 2, size=grid.dim)
-        x = node + u + sigma * rng.standard_normal(grid.dim)
-        if grid.contains(x):
-            return x
-    raise RuntimeError(
-        f"flash position rejected {max_tries} times; grid is far too small "
-        "relative to r_C"
+    cell = rng.choice(len(p), p=p)
+    node = np.asarray(grid.origin) + grid.spacing * np.array(
+        np.unravel_index(cell, dens.shape)
     )
+    return grid.wrap(node + r_C / np.sqrt(2.0) * rng.standard_normal(grid.dim))

@@ -32,14 +32,14 @@ elementwise and rho_T = exp(T lam (sum_k K_k - N)) o rho_0 is exact for any
 particle count.  A kinetic H0 adds the commutator, whose exact flow is one
 FFT pair around a phase; the oracle composes the two exact flows by a
 Yoshida triple jump of Strang stages, doubling the step count to tolerance.
-Flash distances are wrapped on the periodic box, which makes the discrete
-channel trace preserving up to the Gaussian tail beyond half a box length
-L (erfc(L / 2 r_C) per axis: 1.5e-8 at L = 8 r_C); experiments keep
-wavepackets away from the boundary so wrapped and open-space models agree
-far below Monte Carlo resolution.
-
-Trajectories use the same softening a in the kick phase as the master-side
-B_k operators: oracle comparisons are between identical regularized models.
+Both engines run one discrete model on the periodic box of ``GridSpec``:
+every flash distance, in the collapse factor, the kick and the kernels, is
+a minimum-image distance, and trajectories draw flash positions from the
+discrete Born law wrapped onto the box, whose one-jump average is exactly
+the kernel channel K_k o rho.  Minimum image truncates each Gaussian at
+half a box length L, so the channel keeps trace up to erfc(L / 2 r_C) per
+axis (1.5e-8 at L = 8 r_C).  Trajectories use the same softening a in the
+kick phase as the master-side B_k operators.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import MAX_SAMPLER_TRIES, FlashEvent, collapse_factor, rng_stream
+from .collapse import FlashEvent, collapse_factor, rng_stream
 from .gravity import profile_shape, smeared_newton_potential, softened_inverse_distance
 from .state import (
     MAX_DENSITY_BASIS,
@@ -81,50 +81,28 @@ class StepControlError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class FreeHamiltonian:
-    """Free evolution generator: none, or the periodic kinetic term.
-
-    The kinetic H0 = sum over particles and axes of -hbar^2 d^2/(2 m_k dx^2)
-    is diagonal in the DFT basis of the grid, so both engines apply it
-    exactly there (see ``_kinetic_energies``).
-    """
-
-    kind: str = "none"                     # "none" | "kinetic"
-    masses: tuple[float, ...] | None = None
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "kinetic"):
-            raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
-        if self.kind == "kinetic" and not self.masses:
-            raise ValueError("kinetic Hamiltonian requires masses")
-
-    @staticmethod
-    def none() -> "FreeHamiltonian":
-        return FreeHamiltonian("none")
-
-    @staticmethod
-    def kinetic(masses, hbar: float = 1.0) -> "FreeHamiltonian":
-        return FreeHamiltonian("kinetic", tuple(float(m) for m in masses), hbar)
-
-
-@dataclass(frozen=True)
 class EvolutionConfig:
     """Run description shared by both engines.
 
-    Free flight needs no step size: trajectories propagate exactly once per
-    segment between flashes, snapshots and T.  ``softening`` regularizes the
-    kick phase (None picks spacing/2 at use time).
+    ``hamiltonian`` is "none" or "kinetic": the periodic kinetic
+    H0 = sum over particles and axes of -hbar^2 d^2/(2 m_k dx^2), with the
+    masses and hbar of the run's PhysicalParams, diagonal in the grid's DFT
+    basis (see ``_kinetic_energies``).  Free flight needs no step size:
+    trajectories propagate exactly once per segment between flashes,
+    snapshots and T.  ``softening`` regularizes the kick phase (None picks
+    spacing/2 at use time).
     """
 
     total_time: float
-    free_hamiltonian: FreeHamiltonian = FreeHamiltonian.none()
+    hamiltonian: str = "none"
     snapshot_times: tuple[float, ...] = ()
     softening: float | None = None
 
     def __post_init__(self):
         if self.total_time < 0:
             raise ValueError("total_time must be nonnegative")
+        if self.hamiltonian not in ("none", "kinetic"):
+            raise ValueError(f"unknown hamiltonian {self.hamiltonian!r}")
         snaps = tuple(sorted(float(t) for t in self.snapshot_times))
         for t in snaps:
             if not 0.0 <= t <= self.total_time:
@@ -152,16 +130,16 @@ class Trajectory:
             raise ValueError("flash times must be strictly increasing")
 
 
-def _kinetic_energies(grid: GridSpec, ham: FreeHamiltonian, n_particles: int):
+def _kinetic_energies(grid: GridSpec, params: PhysicalParams):
     """E / hbar = sum over particle axes of hbar k^2 / (2 m), on the joint k grid.
 
     The periodic kinetic operator is diagonal in the DFT basis: these are its
     eigenvalues (over hbar) in the index order of ``np.fft.fftn``.
     """
     k2 = (2.0 * np.pi * np.fft.fftfreq(grid.n_points, d=grid.spacing)) ** 2
-    energies = np.zeros(grid.joint_shape(n_particles))
-    for p in range(n_particles):
-        per_axis = ham.hbar * k2 / (2.0 * ham.masses[p])
+    energies = np.zeros(grid.joint_shape(params.n_particles))
+    for p, mass in enumerate(params.masses):
+        per_axis = params.hbar * k2 / (2.0 * mass)
         for a in range(grid.dim):
             view = [1] * energies.ndim
             view[p * grid.dim + a] = grid.n_points
@@ -169,17 +147,18 @@ def _kinetic_energies(grid: GridSpec, ham: FreeHamiltonian, n_particles: int):
     return energies
 
 
-def free_step(psi: WaveFunction, config: EvolutionConfig, dt: float) -> WaveFunction:
+def free_step(
+    psi: WaveFunction, params: PhysicalParams, config: EvolutionConfig, dt: float
+) -> WaveFunction:
     """Free flight over ``dt``, exact for the periodic kinetic term at any dt.
 
     One ``fftn``, one multiply by exp(-i E dt / hbar), one ``ifftn``;
     unitary to rounding.
     """
-    ham = config.free_hamiltonian
-    if ham.kind == "none" or dt == 0.0:
+    if config.hamiltonian == "none" or dt == 0.0:
         return psi
     axes = tuple(range(psi.amplitudes.ndim))
-    phase = np.exp(-1j * dt * _kinetic_energies(psi.grid, ham, psi.n_particles))
+    phase = np.exp(-1j * dt * _kinetic_energies(psi.grid, params))
     spectral = np.fft.fftn(psi.amplitudes, axes=axes) * phase
     return psi.with_amplitudes(np.fft.ifftn(spectral, axes=axes))
 
@@ -204,9 +183,9 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
     T) in exact segments split at the snapshot times, and stops if it is
     past T; every other row flashes.  A flashing row draws its position as
     ``sample_flash_position`` does: the single uniform that
-    ``Generator.choice(p=...)`` consumes, turned into a cell by the same
-    cdf and right-sided search, then the in-cell jitter and the Gaussian
-    offset, redrawn while outside the box.  Collapse, normalization, kick
+    ``Generator.choice(p=...)`` consumes, turned into a node by the same
+    cdf and right-sided search, then the Gaussian offset, the sum wrapped
+    onto the box by ``GridSpec.wrap``.  Collapse, normalization, kick
     and free flight are one numpy call over all running rows, with the same
     elementwise operations as the single-state primitives, so each row is
     bitwise the trajectory it would be alone.
@@ -222,15 +201,14 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
     column = (-1,) + (1,) * len(joint)            # one value per row
     cell = (m,) * dim
 
-    ham = config.free_hamiltonian
-    energies = None if ham.kind == "none" else _kinetic_energies(grid, ham, n)
+    energies = (
+        None if config.hamiltonian == "none" else _kinetic_energies(grid, params)
+    )
     total_time = config.total_time
     rate = n * params.lam
     softening = config.softening_for(grid)
     r_gm = params.r_G_matrix() if params.G != 0.0 else None
-    coords = nodes = None                         # built at the first flash
-    lo, hi = (np.asarray(c) for c in grid.bounds())
-    half = grid.spacing / 2
+    nodes = None                                  # built at the first flash
     sigma = params.r_C / np.sqrt(2.0)
 
     rngs = [rng_stream(master_seed, s) for s in seeds]
@@ -297,7 +275,7 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
                 break
 
         if nodes is None:
-            coords, nodes = grid.axes(), grid.points()
+            nodes = grid.points()
         # Flash positions: per-row Born cdf of the flashing particle.
         prob = np.abs(amps) ** 2
         if n == 1:
@@ -312,31 +290,15 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
         weights /= weights.sum(axis=1, keepdims=True)
         cdf = np.cumsum(weights, axis=1)
         cdf /= cdf[:, -1:]
-        x_f = np.empty((rows.size, dim))
-        todo = np.arange(rows.size)
-        for _ in range(MAX_SAMPLER_TRIES):
-            u = np.empty(todo.size)
-            jitter = np.empty((todo.size, dim))
-            noise = np.empty((todo.size, dim))
-            for j, i in enumerate(todo):
-                rng = rngs[rows[i]]
-                u[j] = rng.random()
-                jitter[j] = rng.uniform(-half, half, size=dim)
-                noise[j] = rng.standard_normal(dim)
-            picked = np.count_nonzero(cdf[todo] <= u[:, None], axis=1)
-            x = nodes[picked] + jitter + sigma * noise
-            inside = np.all((x >= lo) & (x <= hi), axis=1)
-            x_f[todo[inside]] = x[inside]
-            todo = todo[~inside]
-            if not todo.size:
-                break
-        else:
-            raise RuntimeError(
-                f"flash position rejected {MAX_SAMPLER_TRIES} times; grid is "
-                "far too small relative to r_C"
-            )
+        u = np.empty(rows.size)
+        noise = np.empty((rows.size, dim))
+        for j, r in enumerate(rows):
+            u[j] = rngs[r].random()
+            noise[j] = rngs[r].standard_normal(dim)
+        picked = np.count_nonzero(cdf <= u[:, None], axis=1)
+        x_f = grid.wrap(nodes[picked] + sigma * noise)
 
-        factor = collapse_factor(coords, x_f, params.r_C)
+        factor = collapse_factor(grid, x_f, params.r_C)
         if n == 1:
             amps *= factor
         else:
@@ -567,10 +529,6 @@ def trace_distance_se(result: EnsembleResult) -> float:
     return float(np.mean(estimates))
 
 
-def _min_image(diff: np.ndarray, length: float) -> np.ndarray:
-    return (diff + length / 2.0) % length - length / 2.0
-
-
 def flash_quadrature_grid(grid: GridSpec, params: PhysicalParams, refine=None):
     """Uniform flash-position nodes on the periodic box, step <= r_C/4."""
     min_refine = max(1, math.ceil(4.0 * grid.spacing / params.r_C - 1e-12))
@@ -594,7 +552,6 @@ def flash_kernel_matrices(
     grid: GridSpec,
     params: PhysicalParams,
     softening: float,
-    refine: int | None = None,
 ) -> list[np.ndarray]:
     """Elementwise Kraus kernels K_k[I, J] = int dx_f B_I(x_f) B_J(x_f)*.
 
@@ -611,7 +568,8 @@ def flash_kernel_matrices(
             "master-side kernels need softening > 0 in sharp mode: the "
             "phase is undefined on quadrature nodes hitting the flash"
         )
-    if refine is None and has_sharp_gravity:
+    refine = None
+    if has_sharp_gravity:
         # The phase factor is analytic in a strip of half-width `softening`
         # around the real axis; trapezoid error decays like exp(-2 pi a/h),
         # so resolving a/4 makes the node sum effectively exact.
@@ -624,13 +582,12 @@ def flash_kernel_matrices(
     pts = grid.points()                       # (M, dim) per-particle points
     m = pts.shape[0]
     b = m**n
-    ext = grid.extent
     r_gm = params.r_G_matrix()
     has_gravity = params.G != 0.0
     prefactor = (np.pi * params.r_C**2) ** (-grid.dim / 4.0)
 
     # Min-image distance from every grid point to every flash node: (M, F).
-    diff = _min_image(pts[:, None, :] - nodes[None, :, :], ext)
+    diff = grid.min_image(pts[:, None, :] - nodes[None, :, :])
     dist = np.sqrt(np.sum(diff**2, axis=-1))
     loc = prefactor * np.exp(-(dist**2) / (2.0 * params.r_C**2))
     if has_gravity:
@@ -679,19 +636,17 @@ def master_generator(
             rho.grid, params, config.softening_for(rho.grid)
         )
     out = params.lam * (sum(kernels) - params.n_particles) * rho.entries
-    filt = _commutator_filter(rho.grid, config.free_hamiltonian, rho.n_particles)
-    if filt is not None:
+    if config.hamiltonian == "kinetic":
+        filt = _commutator_filter(rho.grid, params)
         spectral = np.fft.fftn(rho.entries.reshape(filt.shape)) * filt
         out = out - 1j * np.fft.ifftn(spectral).reshape(out.shape)
     return out
 
 
-def _commutator_filter(grid: GridSpec, ham: FreeHamiltonian, n_particles: int):
-    """(E_ket - E_bra)/hbar over the joint ket and bra k axes; None for H0 = 0."""
-    if ham.kind == "none":
-        return None
-    e = _kinetic_energies(grid, ham, n_particles).ravel()
-    return (e[:, None] - e[None, :]).reshape(grid.joint_shape(n_particles) * 2)
+def _commutator_filter(grid: GridSpec, params: PhysicalParams):
+    """(E_ket - E_bra)/hbar of the kinetic H0 over the joint ket and bra k axes."""
+    e = _kinetic_energies(grid, params).ravel()
+    return (e[:, None] - e[None, :]).reshape(grid.joint_shape(params.n_particles) * 2)
 
 
 # Yoshida's triple jump: Strang stages of w1 h, w0 h, w1 h make a 4th-order step.
@@ -758,14 +713,13 @@ def master_evolve(
         rho0.grid, params, config.softening_for(rho0.grid)
     )
     q = params.lam * (sum(kernels) - params.n_particles)
-    ham = config.free_hamiltonian
-    if ham.kind == "none":
+    if config.hamiltonian == "none":
         return rho0.with_entries(np.exp(total_time * q) * rho0.entries)
 
     tol = MASTER_TOL * float(np.max(np.abs(rho0.entries)))
     if not math.isfinite(tol):
         raise ValueError("rho0 has non-finite entries")
-    filt = _commutator_filter(rho0.grid, ham, rho0.n_particles)
+    filt = _commutator_filter(rho0.grid, params)
     n_steps = 1 if dt is None else max(1, math.ceil(total_time / dt))
     coarse, fine = None, _split_flow(rho0.entries, q, filt, total_time, n_steps)
     # "not <=": an overflowed (non-finite) coarse level means keep doubling

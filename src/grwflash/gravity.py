@@ -9,6 +9,8 @@ unitary.  After particle k flashes at x_f, each particle l picks up the phase
 
 per point x of its grid, with r_G(k, l) = G m_k m_l / (hbar lam).  The field
 itself is never stored: only its time integral (the phase) is physical.
+On the periodic grid |x - x_f| is the minimum-image distance: each point
+feels the flash's nearest image only.
 
 On a lattice the sharp 1/r is undefined at a node coinciding with x_f, so a
 Plummer regulator 1/sqrt(r^2 + a^2) with a of order half a grid cell stands
@@ -103,7 +105,9 @@ def phase_profile(
 
     The profile is 1/sqrt(r^2 + a^2) for sharp smearing and erf(r/w)/r for
     gaussian smearing of width w (already finite at coincidence), with r the
-    distance to x_f on the particle grid; particle l's scale is r_G(k, l).
+    minimum-image distance to x_f on the periodic particle grid (the same
+    distance as the collapse and the oracle's kernels); particle l's scale
+    is r_G(k, l).
     Sharp mode with a = 0 is refused whenever a grid point coincides with
     x_f (the phase is undefined there) and always in the 1D harness.
     """
@@ -132,7 +136,7 @@ def profile_shape(
     lead = x_f.shape[:-1]
     r2 = None
     for a, xa in enumerate(grid.axes()):
-        d2 = (xa - x_f[..., a, None]) ** 2
+        d2 = grid.min_image(xa - x_f[..., a, None]) ** 2
         r2 = d2 if r2 is None else r2[..., None] + d2.reshape(lead + (1,) * a + (-1,))
     r = np.sqrt(r2)
     if params.smearing.kind != "sharp":

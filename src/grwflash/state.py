@@ -4,8 +4,11 @@ A single grid (dim axes of n_points each, uniform spacing) is shared by all
 particles; an N-particle wavefunction lives on the dim*N dimensional tensor
 grid.  The discrete L2 norm is the plain spacing-weighted (Riemann) sum,
 matching the discretized flash-position integrals in the dynamics module.
-Grid topology is periodic for the spectral free evolution; experiments are
-sized so that wavepacket mass near the boundary stays negligible.
+The grid is a periodic box, one model for every part of the code: free
+flight is spectral, every flash distance is a minimum-image distance
+(``GridSpec.min_image``) and sampled flash positions are wrapped into the
+box (``GridSpec.wrap``).  Experiments are sized so that wavepacket mass
+near the boundary stays negligible.
 
 Density matrices store kernel values rho(x_i, x_j); their trace is the
 spacing-weighted diagonal sum.  Full matrices are only supported up to
@@ -87,15 +90,15 @@ class GridSpec:
     def joint_shape(self, n_particles: int) -> tuple[int, ...]:
         return (self.n_points,) * (self.dim * n_particles)
 
-    def bounds(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """Per-axis (lo, hi) of the cell-covered box: half a cell of margin."""
-        lo = tuple(o - self.spacing / 2 for o in self.origin)
-        return lo, tuple(c + self.extent for c in lo)
+    def min_image(self, d: np.ndarray) -> np.ndarray:
+        """Displacements wrapped to their nearest periodic image, [-L/2, L/2)."""
+        length = self.extent
+        return (d + length / 2.0) % length - length / 2.0
 
-    def contains(self, x: np.ndarray) -> bool:
-        """True if x lies inside the cell-covered box, bounds included."""
-        lo, hi = self.bounds()
-        return all(a <= c <= b for a, c, b in zip(lo, np.atleast_1d(x), hi, strict=True))
+    def wrap(self, x: np.ndarray) -> np.ndarray:
+        """Positions (..., dim) mapped into the box [origin - spacing/2, + L)."""
+        lo = np.asarray(self.origin) - self.spacing / 2
+        return lo + (x - lo) % self.extent
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

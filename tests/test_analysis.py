@@ -58,6 +58,22 @@ def test_gamma_translation_invariance_and_isotropy():
     assert d.value == b.value  # identical inputs hit the cache
 
 
+def test_kernel_cache_keeps_the_evaluation_budget():
+    # a point cached under the default budget must not answer a call whose
+    # tighter max_evals cannot reach it: that call fails before and after
+    from grwflash.quadrature import QuadratureError
+
+    analysis.clear_kernel_cache()
+    params = dimensionless_params(r_G=0.1)
+    tight = QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7, max_evals=20_000)
+    with pytest.raises(QuadratureError):
+        gamma_at_separation(1.5, params, tight)
+    full = gamma_at_separation(1.5, params, QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7))
+    assert full.n_evals > tight.max_evals
+    with pytest.raises(QuadratureError):
+        gamma_at_separation(1.5, params, tight)
+
+
 def test_gamma_realness_and_bound():
     params = dimensionless_params(lam=1.0, r_G=0.1)
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7)

@@ -60,11 +60,22 @@ def test_collapse_gaussian_overlap_closed_form():
     assert out.norm() ** 2 == pytest.approx(expected, rel=1e-8)
 
 
-def test_collapse_outside_grid_rejected():
-    grid = GridSpec.centered(1, 64, 0.25)
-    psi = make_gaussian_packet(grid, 1, [[0.0]], [1.0])
-    with pytest.raises(ValueError, match="outside"):
-        apply_collapse(psi, 0, [50.0], R_C)
+def test_collapse_at_periodic_images_agree():
+    # the box is periodic: a flash at x_f and one at x_f + L collapse alike
+    for grid, x_f in [
+        (GridSpec.centered(1, 64, 0.25), np.array([0.3])),
+        (GridSpec.centered(1, 64, 0.25), np.array([-7.9])),
+        (GridSpec.centered(3, 8, 0.6), np.array([0.2, -1.9, 2.1])),
+    ]:
+        amps = np.random.default_rng(grid.dim).standard_normal(grid.joint_shape(1))
+        psi = normalize(WaveFunction(grid, 1, amps))
+        ref = apply_collapse(psi, 0, x_f, R_C).amplitudes
+        for a in range(grid.dim):
+            for shift in (grid.extent, -grid.extent, 3 * grid.extent):
+                image = x_f.copy()
+                image[a] += shift
+                out = apply_collapse(psi, 0, image, R_C).amplitudes
+                assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_collapse_commutes_across_particles():
@@ -119,27 +130,24 @@ def test_collapse_norm_equals_flash_density():
 
 
 def _sampler_cdf(psi, k, r_c):
-    """CDF of the two-step sampler's continuum law: cell-uniform + Gaussian.
+    """CDF on the box of the sampler's law: sum_i p_i N(x_i, r_c^2/2), wrapped.
 
-    For U ~ Uniform(cell_i) and V ~ N(0, r_c^2/2) the CDF of U+V follows
-    from G(t) = t Phi(t) + phi(t) with G' = Phi.
+    The box starts at lo = origin - spacing/2 and has length L; the wrapped
+    Gaussian is summed over the images at shifts -L, 0 and L.
     """
     from grwflash.state import position_density
 
     grid = psi.grid
     p = position_density(psi, k) * grid.spacing
-    x = grid.axis(0)
     sigma = r_c / math.sqrt(2.0)
-
-    def big_g(t):
-        return t * ndtr(t) + np.exp(-(t**2) / 2) / math.sqrt(2 * math.pi)
+    lo = grid.origin[0] - grid.spacing / 2
+    centers = (grid.axis(0)[:, None] + grid.extent * np.arange(-1, 2)).ravel()
+    weights = np.repeat(p, 3)
 
     def cdf(z):
         z = np.asarray(z, dtype=float)[:, None]
-        lo = (z - (x + grid.spacing / 2)) / sigma
-        hi = (z - (x - grid.spacing / 2)) / sigma
-        cell_cdf = (big_g(hi) - big_g(lo)) * sigma / grid.spacing
-        return (cell_cdf * p).sum(axis=1)
+        mass = ndtr((z - centers) / sigma) - ndtr((lo - centers) / sigma)
+        return mass @ weights
 
     return cdf
 
@@ -167,8 +175,8 @@ def test_sampler_moments():
     rng = rng_stream(7, 1)
     n = 20_000
     s = np.array([sample_flash_position(psi, 0, rng, R_C)[0] for _ in range(n)])
-    # cell-uniform adds spacing^2/12 to the nominal r_C^2/2 variance
-    var_expected = R_C**2 / 2 + grid.spacing**2 / 12
+    # a node plus N(0, r_C^2/2): no in-cell spread
+    var_expected = R_C**2 / 2
     se_mean = math.sqrt(var_expected / n)
     assert abs(s.mean() - a) < 3 * se_mean
     se_var = var_expected * math.sqrt(2.0 / n)
@@ -181,14 +189,6 @@ def test_sampler_deterministic():
     s1 = sample_flash_position(psi, 0, rng_stream(9, 2), R_C)
     s2 = sample_flash_position(psi, 0, rng_stream(9, 2), R_C)
     assert np.array_equal(s1, s2)
-
-
-def test_sampler_rejection_exhaustion():
-    # grid far smaller than r_C: almost every draw lands outside
-    grid = GridSpec(1, 4, 0.01, (-0.02,))
-    psi = normalize(WaveFunction(grid, 1, np.ones(4)))
-    with pytest.raises(RuntimeError, match="rejected"):
-        sample_flash_position(psi, 0, rng_stream(0, 0), 100.0, max_tries=50)
 
 
 def test_next_flash_waiting_time_moment():

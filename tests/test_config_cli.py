@@ -131,6 +131,15 @@ def test_cli_negative_threads_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_unknown_hamiltonian_is_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL + "\n[trajectory]\ntotal_time = 1.5\n"
+                "hamiltonian = harmonic\n")
+    rc = main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"),
+               "trajectory"])
+    assert rc == 2
+    assert "harmonic" in capsys.readouterr().err
+
+
 def test_cli_trajectory_outputs_and_manifest(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL + "\n[trajectory]\ntotal_time = 1.5\n")
     out = tmp_path / "out"

@@ -10,7 +10,6 @@ from scipy.stats import chi2, poisson
 from grwflash.collapse import apply_collapse, next_flash, rng_stream, sample_flash_position
 from grwflash.dynamics import (
     EvolutionConfig,
-    FreeHamiltonian,
     StepControlError,
     TrajectoryError,
     _lockstep,
@@ -31,6 +30,7 @@ from grwflash.state import (
     GridSpec,
     WaveFunction,
     density_from_ensemble,
+    expectation_position,
     make_gaussian_packet,
     normalize,
     position_density,
@@ -52,16 +52,14 @@ def packet(width=0.75, center=0.0, grid=GRID):
 def test_free_step_none_is_identity():
     psi = packet()
     cfg = EvolutionConfig(total_time=1.0)
-    out = free_step(psi, cfg, 0.05)
+    out = free_step(psi, dimensionless_params(), cfg, 0.05)
     assert out is psi
 
 
 def test_free_step_unitary():
     psi = packet()
-    cfg = EvolutionConfig(
-        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic([1.0])
-    )
-    out = free_step(psi, cfg, 0.05)
+    cfg = EvolutionConfig(total_time=1.0, hamiltonian="kinetic")
+    out = free_step(psi, dimensionless_params(), cfg, 0.05)
     assert abs(out.norm() - 1.0) < 1e-10
 
 
@@ -69,12 +67,10 @@ def test_free_packet_spreading_law():
     grid = GridSpec.centered(1, 128, 0.15)
     w, m, hbar, t = 1.0, 1.0, 1.0, 1.0
     psi = make_gaussian_packet(grid, 1, [[0.0]], [w])
-    cfg = EvolutionConfig(
-        total_time=t,
-        free_hamiltonian=FreeHamiltonian.kinetic([m], hbar=hbar),
-    )
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.0, hbar=hbar, masses=(m,))
+    cfg = EvolutionConfig(total_time=t, hamiltonian="kinetic")
     for _ in range(100):
-        psi = free_step(psi, cfg, t / 100)
+        psi = free_step(psi, params, cfg, t / 100)
     x = grid.axis(0)
     var = float(np.sum(x**2 * position_density(psi, 0)) * grid.spacing)
     exact = (w**2 / 2) * (1 + (hbar * t / (m * w**2)) ** 2)
@@ -86,12 +82,10 @@ def test_momentum_eigenstate_density_static():
     k = 2 * math.pi * np.fft.fftfreq(64, d=0.25)[5]
     amps = np.exp(1j * k * grid.axis(0))
     psi = normalize(WaveFunction(grid, 1, amps))
-    cfg = EvolutionConfig(
-        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic([1.0])
-    )
+    cfg = EvolutionConfig(total_time=1.0, hamiltonian="kinetic")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # plane wave touches the boundary
-        out = free_step(psi, cfg, 0.05)
+        out = free_step(psi, dimensionless_params(), cfg, 0.05)
     assert np.max(
         np.abs(position_density(out, 0) - position_density(psi, 0))
     ) < 1e-12
@@ -100,14 +94,13 @@ def test_momentum_eigenstate_density_static():
 def test_free_step_exact_for_any_dt():
     # the spectral propagator composes exactly: one step of t equals 100 of t/100
     psi = make_gaussian_packet(GRID, 1, [[-1.0]], [0.8], [[1.5]])
-    cfg = EvolutionConfig(
-        total_time=2.0, free_hamiltonian=FreeHamiltonian.kinetic([1.3], hbar=0.7)
-    )
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.0, hbar=0.7, masses=(1.3,))
+    cfg = EvolutionConfig(total_time=2.0, hamiltonian="kinetic")
     t = 2.0
-    one = free_step(psi, cfg, t)
+    one = free_step(psi, params, cfg, t)
     many = psi
     for _ in range(100):
-        many = free_step(many, cfg, t / 100)
+        many = free_step(many, params, cfg, t / 100)
     assert np.max(np.abs(one.amplitudes - psi.amplitudes)) > 0.1
     assert np.max(np.abs(one.amplitudes - many.amplitudes)) < 1e-12
 
@@ -129,8 +122,8 @@ def test_trajectory_zero_gravity_matches_vanilla_reference():
     # independent jump-process loop built from the collapse primitives and
     # one free_step per interval between flashes (the identity for H0 = 0)
     params = dimensionless_params(lam=1.0, r_G=0.0)
-    for ham in (FreeHamiltonian.none(), FreeHamiltonian.kinetic([1.0])):
-        cfg = EvolutionConfig(total_time=3.0, free_hamiltonian=ham)
+    for ham in ("none", "kinetic"):
+        cfg = EvolutionConfig(total_time=3.0, hamiltonian=ham)
         for seed in range(5):
             traj = run_trajectory(packet(), params, cfg, seed=seed, master_seed=5)
 
@@ -139,7 +132,7 @@ def test_trajectory_zero_gravity_matches_vanilla_reference():
             t, log = 0.0, []
             while True:
                 dt, k = next_flash(rng, 1, params.lam)
-                psi = free_step(psi, cfg, min(t + dt, cfg.total_time) - t)
+                psi = free_step(psi, params, cfg, min(t + dt, cfg.total_time) - t)
                 t += dt
                 if t > cfg.total_time:
                     break
@@ -192,16 +185,17 @@ def test_trajectory_input_validation():
         EvolutionConfig(total_time=1.0, snapshot_times=(2.0,))
     with pytest.raises(ValueError):
         EvolutionConfig(total_time=-1.0)
+    with pytest.raises(ValueError, match="hamiltonian"):
+        EvolutionConfig(total_time=1.0, hamiltonian="harmonic")
 
 
 def test_trajectory_snapshots_split_flight_in_time_order():
     # lam T = 0.2: most trajectories fly from 0 to T past every snapshot in
     # one flight, which must stop at them in time order, once each
     params = dimensionless_params(lam=0.1, r_G=0.2)
-    ham = FreeHamiltonian.kinetic([1.0])
     snaps = (0.0, 0.5, 1.0, 2.0)
-    cfg = EvolutionConfig(total_time=2.0, free_hamiltonian=ham, snapshot_times=snaps)
-    plain = EvolutionConfig(total_time=2.0, free_hamiltonian=ham)
+    cfg = EvolutionConfig(total_time=2.0, hamiltonian="kinetic", snapshot_times=snaps)
+    plain = EvolutionConfig(total_time=2.0, hamiltonian="kinetic")
     psi0 = make_gaussian_packet(GRID, 1, [[0.0]], [0.75], [[0.5]])
     n_quiet = 0
     for seed in range(6):
@@ -215,34 +209,103 @@ def test_trajectory_snapshots_split_flight_in_time_order():
         if not traj.flashes:
             n_quiet += 1
             for t, snap in traj.snapshots:
-                exact = free_step(psi0, cfg, t)
+                exact = free_step(psi0, params, cfg, t)
                 assert np.max(np.abs(snap.amplitudes - exact.amplitudes)) < 1e-12
     assert n_quiet > 0
+
+
+def _unwrapped_draw(psi, k, rng, r_c):
+    """The node plus Gaussian offset that ``sample_flash_position`` wraps.
+
+    Draws from ``rng`` what the sampler draws: one uniform, turned into a
+    node by the cdf search of ``Generator.choice``, then ``standard_normal``.
+    """
+    grid = psi.grid
+    dens = position_density(psi, k)
+    p = np.clip((dens * grid.cell_volume).ravel(), 0.0, None)
+    p /= p.sum()
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    cell = int(np.searchsorted(cdf, rng.random(), side="right"))
+    node = np.asarray(grid.origin) + grid.spacing * np.array(
+        np.unravel_index(cell, dens.shape)
+    )
+    return node + r_c / np.sqrt(2.0) * rng.standard_normal(grid.dim)
+
+
+def _outside_box(grid, x):
+    lo = np.asarray(grid.origin) - grid.spacing / 2
+    return bool(np.any((x < lo) | (x >= lo + grid.extent)))
+
+
+def test_sampler_replays_wrapped_node_plus_gaussian():
+    grids = [GRID, GridSpec.centered(1, 8, 0.25), GridSpec.centered(3, 8, 0.5)]
+    n_outside = 0
+    for seed, grid in enumerate(grids):
+        psi = _small_box_packet(grid, 0.5 if grid.dim == 1 else 0.8)
+        rng = rng_stream(21, seed)
+        for _ in range(200):
+            raw = _unwrapped_draw(psi, 0, copy.deepcopy(rng), 1.0)
+            x_f = sample_flash_position(psi, 0, rng, 1.0)
+            assert np.array_equal(x_f, grid.wrap(raw))
+            n_outside += _outside_box(grid, raw)
+    assert n_outside > 0
+
+
+@pytest.mark.parametrize("r_g, tol", [(0.0, 1e-12), (0.3, 1e-10)])
+def test_sampler_law_integrates_to_the_kernel_channel(r_g, tol):
+    # one jump from the criterion-07 packet: the sampler's law, node i with
+    # p_i plus a wrapped N(0, r_C^2/2) offset, weights the normalized
+    # collapse-and-kick outcomes; integrated over x_f on the torus they must
+    # give the oracle's K o rho.  With gravity the kernel's own trapezoid
+    # rule, at step a/4 in a phase analytic within a of the real axis, is
+    # exp(-8 pi) = 1.2e-11 off.
+    params = dimensionless_params(lam=1.0, r_G=r_g)
+    softening = GRID.spacing / 2
+    psi = packet()
+    p = position_density(psi, 0) * GRID.spacing
+    x = GRID.axis(0)
+    length = GRID.extent
+    n_nodes = 2560
+    step = length / n_nodes
+    x_fs = GRID.origin[0] - GRID.spacing / 2 + step * (np.arange(n_nodes) + 0.5)
+    rho = np.zeros((64, 64), dtype=complex)
+    for x_f in x_fs:
+        d = x_f - x[:, None] + length * np.arange(-2, 3)
+        law = p @ np.exp(-(d**2)).sum(axis=1) / math.sqrt(math.pi)
+        out = normalize(apply_collapse(psi, 0, [x_f], params.r_C))
+        if r_g:
+            out = apply_gravitational_kick(
+                out, phase_profile([x_f], params, 0, GRID, softening)
+            )
+        v = out.amplitudes
+        rho += step * law * np.outer(v, v.conj())
+    rho0 = pure_density(psi)
+    kernel = flash_kernel_matrices(GRID, params, softening)[0]
+    channel = rho0.with_entries(kernel * rho0.entries)
+    assert trace_distance(rho0.with_entries(rho), channel) < tol
 
 
 def _reference_rows(psi0, params, cfg, master_seed, seeds):
     """Trajectories from the single-state primitives, one at a time.
 
-    Returns the final states, the flash counts, and how many flashes needed
-    more than one sampler try.
+    Returns the final states, the flash counts, and how many flashes drew a
+    node plus offset outside the box, which the sampler wraps.
     """
     grid, n = psi0.grid, params.n_particles
     softening = cfg.softening_for(grid)
-    finals, counts, redraws = [], [], 0
+    finals, counts, wrapped = [], [], 0
     for seed in seeds:
         rng = rng_stream(master_seed, seed)
         psi, t, count = psi0, 0.0, 0
         while True:
             dt, k = next_flash(rng, n, params.lam)
-            psi = free_step(psi, cfg, min(t + dt, cfg.total_time) - t)
+            psi = free_step(psi, params, cfg, min(t + dt, cfg.total_time) - t)
             t += dt
             if t > cfg.total_time:
                 break
-            try:
-                sample_flash_position(psi, k, copy.deepcopy(rng), params.r_C,
-                                      max_tries=1)
-            except RuntimeError:
-                redraws += 1
+            raw = _unwrapped_draw(psi, k, copy.deepcopy(rng), params.r_C)
+            wrapped += _outside_box(grid, raw)
             x_f = sample_flash_position(psi, k, rng, params.r_C)
             psi = normalize(apply_collapse(psi, k, x_f, params.r_C))
             if params.G != 0.0:
@@ -251,7 +314,7 @@ def _reference_rows(psi0, params, cfg, master_seed, seeds):
             count += 1
         finals.append(psi.amplitudes)
         counts.append(count)
-    return np.array(finals), np.array(counts), redraws
+    return np.array(finals), np.array(counts), wrapped
 
 
 def _small_box_packet(grid, width):
@@ -275,14 +338,12 @@ _STEPPER_CASES = {
         make_gaussian_packet(GridSpec.centered(1, 24, 0.5), 2, [[-1.5], [1.5]],
                              [1.0, 1.0], [[0.5], [-0.3]]),
         PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 2.0)),
-        EvolutionConfig(total_time=2.0,
-                        free_hamiltonian=FreeHamiltonian.kinetic([1.0, 2.0])),
+        EvolutionConfig(total_time=2.0, hamiltonian="kinetic"),
     ),
     "3d-small-box": (
         _small_box_packet(GridSpec.centered(3, 8, 0.5), 0.8),
         dimensionless_params(lam=1.0, r_G=0.2),
-        EvolutionConfig(total_time=1.5,
-                        free_hamiltonian=FreeHamiltonian.kinetic([1.0])),
+        EvolutionConfig(total_time=1.5, hamiltonian="kinetic"),
     ),
     "1d-small-box": (
         _small_box_packet(GridSpec.centered(1, 8, 0.25), 0.5),
@@ -298,7 +359,7 @@ def test_lockstep_rows_match_primitive_reference_loop(case):
     n_traj = 10
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref, ref_counts, redraws = _reference_rows(psi0, params, cfg, 13, range(n_traj))
+        ref, ref_counts, wrapped = _reference_rows(psi0, params, cfg, 13, range(n_traj))
         rows, counts, _, _ = _lockstep(psi0, params, cfg, 13, range(n_traj))
         res = run_ensemble(psi0, params, cfg, n_traj, master_seed=13, batch_size=4)
     assert np.array_equal(counts, ref_counts)
@@ -310,17 +371,17 @@ def test_lockstep_rows_match_primitive_reference_loop(case):
     )
     assert np.max(np.abs(res.rho.entries - direct.entries)) < 1e-14
     if "box" in case:
-        assert redraws > 0
+        assert wrapped > 0
 
 
 def test_trajectory_error_names_the_null_flash():
-    # r_C far below the cell: the in-cell jitter alone puts the flash so far
-    # from the one occupied node that the collapse factor underflows to 0
+    # r_C far above the box: the collapse prefactor (pi r_C^2)^(-1/4) alone
+    # drops the norm to 7.5e-16, below the null-state threshold
     grid = GridSpec.centered(1, 16, 0.25)
     amps = np.zeros(16)
     amps[8] = 1.0 / math.sqrt(grid.spacing)
     psi0 = WaveFunction(grid, 1, amps)
-    params = PhysicalParams(lam=50.0, r_C=1e-3, G=0.0, hbar=1.0, masses=(1.0,))
+    params = PhysicalParams(lam=50.0, r_C=1e30, G=0.0, hbar=1.0, masses=(1.0,))
     with pytest.raises(TrajectoryError) as info:
         run_trajectory(psi0, params, EvolutionConfig(total_time=1.0), seed=3)
     message = str(info.value)
@@ -354,6 +415,23 @@ def test_ensemble_matches_density_from_ensemble():
     ]
     direct = density_from_ensemble(states, [1.0 / n] * n)
     assert np.max(np.abs(res.rho.entries - direct.entries)) < 1e-14
+
+
+def test_ensemble_mean_positions_match_expectation_position():
+    # the stacked first moments of run_ensemble against the single-state
+    # expectation_position of each trajectory's final state
+    psi0, params, cfg = _STEPPER_CASES["1d-two-kinetic-particles"]
+    n_traj = 6
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the packets' tails reach the edge
+        res = run_ensemble(psi0, params, cfg, n_traj, master_seed=13, batch_size=4)
+        finals = [run_trajectory(psi0, params, cfg, seed, 13).final_state
+                  for seed in range(n_traj)]
+    assert res.mean_positions.shape == (n_traj, 2, 1)
+    for seed, final in enumerate(finals):
+        for k in range(2):
+            assert np.array_equal(res.mean_positions[seed, k],
+                                  expectation_position(final, k))
 
 
 def test_ensemble_worker_count_invariance():
@@ -511,9 +589,7 @@ def _dense_kinetic_hamiltonian(grid, masses, hbar):
 def test_master_generator_commutator_matches_dense_hamiltonian(grid, masses, hbar):
     # the FFT commutator against -i/hbar [H, rho] with H built densely
     params = PhysicalParams(lam=0.8, r_C=1.0, G=0.3, hbar=hbar, masses=masses)
-    cfg = EvolutionConfig(
-        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic(masses, hbar)
-    )
+    cfg = EvolutionConfig(total_time=1.0, hamiltonian="kinetic")
     b = grid.basis_size ** len(masses)
     rng = np.random.default_rng(4)
     rho = DensityMatrix(grid, len(masses),
@@ -583,9 +659,7 @@ def test_master_evolve_unitary_limit_conserves_purity():
     grid = GridSpec.centered(1, 32, 0.4)
     params = dimensionless_params(lam=1e-12, r_G=0.0)
     psi = make_gaussian_packet(grid, 1, [[0.0]], [1.2])
-    cfg = EvolutionConfig(
-        total_time=0.5, free_hamiltonian=FreeHamiltonian.kinetic([1.0])
-    )
+    cfg = EvolutionConfig(total_time=0.5, hamiltonian="kinetic")
     out = master_evolve(pure_density(psi), params, cfg)
     assert abs(out.purity() - 1.0) < 1e-8
     assert abs(out.trace() - 1.0) < 1e-8
@@ -604,9 +678,7 @@ def test_master_evolve_kinetic_rk4_matches_superoperator_exponential():
     grid = GridSpec.centered(1, 24, 0.5)
     params = dimensionless_params(lam=1.0, r_G=0.3)
     rho0 = pure_density(make_gaussian_packet(grid, 1, [[0.5]], [1.0], [[1.5]]))
-    cfg = EvolutionConfig(
-        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic([1.0])
-    )
+    cfg = EvolutionConfig(total_time=1.0, hamiltonian="kinetic")
     n = grid.n_points
     k = 2 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
     h = np.fft.ifft((k**2 / 2)[:, None] * np.fft.fft(np.eye(n), axis=0), axis=0)
@@ -629,9 +701,7 @@ def test_master_evolve_kinetic_two_particles_match_superoperator_exponential():
     grid = GridSpec.centered(1, 6, 0.8)
     masses, hbar = (1.0, 2.0), 1.3
     params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=hbar, masses=masses)
-    cfg = EvolutionConfig(
-        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic(masses, hbar)
-    )
+    cfg = EvolutionConfig(total_time=1.0, hamiltonian="kinetic")
     rng = np.random.default_rng(6)
     amps = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     with warnings.catch_warnings():
@@ -659,9 +729,7 @@ def test_master_evolve_kinetic_trace_follows_wrapped_kernel_law():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         rho0 = pure_density(normalize(WaveFunction(grid, 2, amps)))
-    cfg = EvolutionConfig(
-        total_time=0.5, free_hamiltonian=FreeHamiltonian.kinetic([1.0, 1.0])
-    )
+    cfg = EvolutionConfig(total_time=0.5, hamiltonian="kinetic")
     out = master_evolve(rho0, params, cfg)
     kernels = flash_kernel_matrices(grid, params, softening=grid.spacing / 2)
     q00 = params.lam * (sum(kernels)[0, 0].real - 2)
@@ -675,9 +743,7 @@ def test_master_evolve_guard_rejects_non_hermitian_result():
     params = dimensionless_params(lam=1.0, r_G=0.3)
     rho0 = pure_density(make_gaussian_packet(grid, 1, [[0.0]], [1.0]))
     skew = rho0.with_entries(rho0.entries + 1e-6j * np.eye(grid.basis_size, k=1))
-    cfg = EvolutionConfig(
-        total_time=0.2, free_hamiltonian=FreeHamiltonian.kinetic([1.0])
-    )
+    cfg = EvolutionConfig(total_time=0.2, hamiltonian="kinetic")
     with pytest.raises(StepControlError, match="hermiticity"):
         master_evolve(skew, params, cfg)
 
@@ -763,9 +829,7 @@ def test_verify_check_kinetic_trajectories_match_oracle():
     grid = GridSpec.centered(1, 32, 0.4)
     params = dimensionless_params(lam=1.0, r_G=0.3)
     psi0 = make_gaussian_packet(grid, 1, [[0.0]], [1.0], [[1.0]])
-    cfg = EvolutionConfig(
-        total_time=1.0, free_hamiltonian=FreeHamiltonian.kinetic([1.0])
-    )
+    cfg = EvolutionConfig(total_time=1.0, hamiltonian="kinetic")
     report, _, oracle = ensemble_vs_master_check(
         psi0, params, cfg, 1024, master_seed=11, se_limit=0.05
     )
@@ -785,9 +849,7 @@ def test_verify_check_two_particle_kinetic_trajectories_match_oracle():
     psi0 = make_gaussian_packet(
         grid, 2, [[0.0], [0.0]], [1.0, 1.0], [[1.5], [-1.5]]
     )
-    cfg = EvolutionConfig(
-        total_time=0.5, free_hamiltonian=FreeHamiltonian.kinetic(masses)
-    )
+    cfg = EvolutionConfig(total_time=0.5, hamiltonian="kinetic")
     report, _, oracle = ensemble_vs_master_check(
         psi0, params, cfg, 2048, master_seed=3, se_limit=0.05
     )

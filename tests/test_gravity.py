@@ -110,8 +110,11 @@ def test_phase_profile_sharp_exact_inverse_distance():
     params = dimensionless_params(lam=2.0, r_G=0.4)
     x_f = np.array([0.123, -0.456, 0.789])
     prof = phase_profile(x_f, params, 0, grid, softening=0.0)
-    pts = grid.points()
-    dist = np.linalg.norm(pts - x_f, axis=1).reshape(6, 6, 6)
+    # minimum-image distances on the periodic box of length 4.2; some open
+    # ones exceed half of it
+    diff = grid.points() - x_f
+    assert np.max(np.abs(diff)) > 2.1
+    dist = np.linalg.norm((diff + 2.1) % 4.2 - 2.1, axis=1).reshape(6, 6, 6)
     assert np.allclose(prof.pair_scales[0] * prof.shape * dist, 0.4, rtol=1e-12)
 
 
@@ -171,7 +174,10 @@ def test_smearing_consistency_with_smeared_potential():
     )
     x_f = [0.37]
     prof = phase_profile(x_f, params, 0, grid, softening=0.0)
-    d = np.abs(grid.axis(0) - 0.37)
+    # minimum-image distance on the periodic box of length 16; some open
+    # ones exceed half of it
+    assert np.max(np.abs(grid.axis(0) - 0.37)) > 8.0
+    d = np.abs((grid.axis(0) - 0.37 + 8.0) % 16.0 - 8.0)
     expected = r_g * smeared_newton_potential(d, 1.0)
     assert np.max(np.abs(prof.pair_scales[0] * prof.shape - expected)) < 1e-10
 

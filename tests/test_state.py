@@ -45,18 +45,23 @@ def test_grid_validation():
     assert g.extent == 4.0
 
 
-def test_grid_contains_is_inclusive_per_axis():
+def test_grid_min_image_and_wrap_ranges():
     g = GridSpec(3, 8, 0.5, (-2.0, 0.0, 1.0))
-    lo, hi = g.bounds()
-    assert lo == (-2.25, -0.25, 0.75) and hi == (1.75, 3.75, 4.75)
-    assert g.contains(np.array(lo)) and g.contains(np.array(hi))
-    for a in range(3):
-        for edge, step in ((lo, -1e-9), (hi, 1e-9)):
-            x = np.array(edge)
-            x[a] += step
-            assert not g.contains(x)
-    with pytest.raises(ValueError):
-        g.contains(np.zeros(2))
+    lo, length = np.array([-2.25, -0.25, 0.75]), 4.0
+    assert g.extent == length
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-50.0, 50.0, size=(1000, 3))
+    for out, low in ((g.wrap(x), lo), (g.min_image(x), -length / 2)):
+        # one box per axis, half open, reached by whole box lengths
+        assert np.all(out >= low) and np.all(out < low + length)
+        turns = (x - out) / length
+        assert np.max(np.abs(turns - np.round(turns))) < 1e-12
+    inside = lo + length * rng.random((100, 3))
+    assert np.max(np.abs(g.wrap(inside) - inside)) < 1e-12
+    assert np.array_equal(g.wrap(lo), lo)
+    assert np.array_equal(g.wrap(lo + length), lo)
+    assert np.array_equal(g.min_image(np.full(3, length / 2)), np.full(3, -length / 2))
+    assert np.array_equal(g.min_image(np.array([0.25, -0.5, 1.75])), [0.25, -0.5, 1.75])
 
 
 def test_packet_centered_moments():
