@@ -91,6 +91,9 @@ class KernelResult:
         return diags
 
 
+# Kernel points kept at most; past it the oldest insertion goes first, so a
+# long scan holds bounded memory while a table's repeated points still hit.
+KERNEL_CACHE_SIZE = 4096
 _kernel_cache: dict = {}
 
 
@@ -163,6 +166,8 @@ def _kernel_quadrature(
         extra_error=trunc,
     )
     out = (res.value, res.error, res.n_evals)
+    if len(_kernel_cache) >= KERNEL_CACHE_SIZE:
+        del _kernel_cache[next(iter(_kernel_cache))]
     _kernel_cache[key] = out
     return out
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .state import GridSpec, WaveFunction
 from .units import PhysicalParams
@@ -35,6 +34,16 @@ def softened_inverse_distance(r: np.ndarray, a: float) -> np.ndarray:
     return 1.0 / np.sqrt(r**2 + a**2)
 
 
+def _checked_distance(d, r_C: float) -> np.ndarray:
+    """``d`` as a float array, after refusing r_C <= 0 and negative distances."""
+    if not r_C > 0:
+        raise ValueError("r_C must be positive")
+    d = np.asarray(d, dtype=float)
+    if np.any(d < 0):
+        raise ValueError("distance must be nonnegative")
+    return d
+
+
 def smeared_newton_potential(d, r_C: float):
     """Shape of 1/r convolved with the collapse Gaussian; finite at contact.
 
@@ -43,11 +52,9 @@ def smeared_newton_potential(d, r_C: float):
     (pi r_C^2)^(-3/2) exp(-r^2/r_C^2).  Strictly decreasing in d and bounded
     by min(1/d, 2/(sqrt(pi) r_C)).
     """
-    if not r_C > 0:
-        raise ValueError("r_C must be positive")
-    d = np.asarray(d, dtype=float)
-    if np.any(d < 0):
-        raise ValueError("distance must be nonnegative")
+    from scipy.special import erf  # imported here, off the import path
+
+    d = _checked_distance(d, r_C)
     u = d / r_C
     small = u < 1e-6
     # Series of erf(u)/u around 0 keeps the contact value exact.
@@ -59,7 +66,9 @@ def smeared_newton_potential(d, r_C: float):
 
 def smeared_newton_gradient(d, r_C: float):
     """d/dd of :func:`smeared_newton_potential`; negative for d > 0."""
-    d = np.asarray(d, dtype=float)
+    from scipy.special import erf  # imported here, off the import path
+
+    d = _checked_distance(d, r_C)
     u = d / r_C
     small = u < 1e-6
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -20,6 +20,7 @@ of a round are evaluated together, a chunk of patches per integrand call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +180,5 @@ def integrate_adaptive(
 
 def gaussian_tail_mass(radius: float) -> float:
     """Mass of the normalized 3D Gaussian pi^(-3/2) exp(-u^2) beyond |u| = radius."""
-    from scipy.special import erfc
-
     r = float(radius)
-    return (2.0 / np.sqrt(np.pi)) * r * np.exp(-(r**2)) + erfc(r)
+    return (2.0 / np.sqrt(np.pi)) * r * np.exp(-(r**2)) + math.erfc(r)

@@ -22,6 +22,7 @@ values, so sharing across workers is safe.
 from __future__ import annotations
 
 import io
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -233,8 +234,6 @@ def make_gaussian_packet(grid, n_particles, centers, widths, momenta=None):
     if widths.shape != (n_particles,):
         raise ValueError("need one width per particle")
 
-    from scipy.special import erfc
-
     for k in range(n_particles):
         w = widths[k]
         if w < 2 * grid.spacing:
@@ -244,7 +243,7 @@ def make_gaussian_packet(grid, n_particles, centers, widths, momenta=None):
         for a in range(grid.dim):
             axis = grid.axis(a)
             margin = min(centers[k, a] - axis[0], axis[-1] - centers[k, a])
-            if margin < 0 or erfc(margin / w) > 1e-8:
+            if margin < 0 or math.erfc(margin / w) > 1e-8:
                 raise ValueError(
                     f"particle {k}: packet at {centers[k, a]} leaks past the "
                     f"grid boundary (margin {margin:.3g}, width {w})"

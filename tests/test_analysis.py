@@ -74,6 +74,22 @@ def test_kernel_cache_keeps_the_evaluation_budget():
         gamma_at_separation(1.5, params, tight)
 
 
+def test_kernel_cache_is_bounded_and_evicts_oldest_first(monkeypatch):
+    monkeypatch.setattr(analysis, "KERNEL_CACHE_SIZE", 3)
+    analysis.clear_kernel_cache()
+    params = dimensionless_params(r_G=0.1)
+    first = gamma_at_separation(0.5, params)
+    for d in (1.0, 1.5, 2.0, 2.5):
+        gamma_at_separation(d, params)
+        assert len(analysis._kernel_cache) <= 3
+    assert len(analysis._kernel_cache) == 3
+    assert 0.5 not in {key[0] for key in analysis._kernel_cache}  # key: delta first
+    again = gamma_at_separation(0.5, params)  # evicted, so evaluated afresh
+    assert (again.value, again.error, again.n_evals) == (
+        first.value, first.error, first.n_evals
+    )
+
+
 def test_gamma_realness_and_bound():
     params = dimensionless_params(lam=1.0, r_G=0.1)
     spec = QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grwflash
 from grwflash.cli import main
 from grwflash.config import (
     ConfigError,
@@ -308,3 +313,37 @@ def test_cli_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("GRWFLASH_OUT_DIR", str(target))
     assert main(["--config", str(cfg), "potential"]) == 0
     assert (target / "potential.csv").exists()
+
+
+SHARP_RUN = """\
+import json, sys
+import grwflash, grwflash.cli
+loaded = [sorted(m for m in sys.modules if m.startswith("scipy"))]
+cfg, out = sys.argv[1], sys.argv[2]
+codes = [grwflash.cli.main(["--config", cfg, "--out-dir", out + sub, sub])
+         for sub in ("verify", "kernel")]
+loaded.append(sorted(m for m in sys.modules if m.startswith("scipy.special")))
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_sharp_runs_never_load_scipy_special(tmp_path):
+    # erf lives in scipy.special, which costs more start-up than numpy; only
+    # gaussian smearing and the potential and force checks import it
+    cfg = write(
+        tmp_path,
+        MINIMAL.replace("n_points = 48\nspacing = 0.3",
+                        "n_points = 32\nspacing = 0.25")
+        + "\n[verify]\nn_traj = 128\ntotal_time = 1.0\nse_limit = 1.0\n"
+        + "packet_width = 0.75\n\n[kernel]\nseparations = 0.5, 1.0\n",
+    )
+    src = str(Path(grwflash.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", SHARP_RUN, str(cfg), str(tmp_path / "out-")],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert loaded == [[], []]

@@ -87,6 +87,16 @@ def test_gradient_matches_finite_difference():
         assert smeared_newton_gradient(d, 1.0) == pytest.approx(fd, rel=1e-7)
 
 
+@pytest.mark.parametrize("law", [smeared_newton_potential, smeared_newton_gradient])
+def test_smeared_law_rejects_bad_inputs(law):
+    for r_c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="r_C"):
+            law(1.0, r_c)
+    for d in (-1.0, np.array([1.0, -0.5])):
+        with pytest.raises(ValueError, match="distance"):
+            law(d, 1.0)
+
+
 def test_phase_profile_zero_gravity():
     grid = GridSpec.centered(1, 32, 0.5)
     params = dimensionless_params(lam=1.0, r_G=0.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erf
+from scipy.special import erf, erfc
 
 from grwflash.quadrature import (
     QuadratureError,
@@ -197,6 +197,12 @@ def test_gaussian_tail_mass_matches_quadrature():
             radius + 30,
         )
         assert gaussian_tail_mass(radius) == pytest.approx(exact, rel=1e-10)
+
+
+def test_gaussian_tail_mass_matches_scipy_erfc_formula():
+    for r in (0.0, 1.0, 4.0, 7.0, 10.0):
+        ref = (2.0 / np.sqrt(np.pi)) * r * np.exp(-(r**2)) + erfc(r)
+        assert gaussian_tail_mass(r) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_needs_two_cuts():

@@ -99,6 +99,24 @@ def test_packet_rejects_boundary_leak():
         make_gaussian_packet(grid1d(16, 0.25), 1, [[0.0]], [1.0])
 
 
+def test_packet_leak_guard_switches_at_the_erfc_threshold():
+    # the guard refuses erfc(margin / w) > 1e-8: on either side of the
+    # threshold margin erfcinv(1e-8) w ~ 4.05 w it decides as scipy's erfc does
+    from scipy.special import erfc, erfcinv
+
+    grid, w = grid1d(64, 0.25), 1.0
+    edge = grid.axis()[0]
+    threshold = float(erfcinv(1e-8)) * w
+    for factor, accepted in ((1 - 1e-10, False), (1 + 1e-10, True)):
+        center = edge + factor * threshold
+        assert (erfc((center - edge) / w) <= 1e-8) == accepted
+        if accepted:
+            make_gaussian_packet(grid, 1, [[center]], [w])
+        else:
+            with pytest.raises(ValueError, match="leak"):
+                make_gaussian_packet(grid, 1, [[center]], [w])
+
+
 def test_normalize_scaling_and_null():
     psi = make_gaussian_packet(grid1d(), 1, [[0.0]], [1.0])
     scaled = psi.with_amplitudes(psi.amplitudes * 3.0)
