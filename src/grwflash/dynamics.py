@@ -27,7 +27,10 @@ The oracle solves the corresponding master equation
 
 on the grid: B_k is position-diagonal, so the flash integral collapses to
 an elementwise kernel matrix K_k built on a quadrature grid at least 4x
-finer than r_C (refused otherwise).  With H0 = 0 the whole generator is
+finer than r_C (refused otherwise).  The flash nodes refine the periodic
+grid by an integer, so K_k is unchanged when every particle shifts by one
+grid step: it is built from its M^(2n-1) distinct values, M = n_points^dim,
+not as a dense b x b product.  With H0 = 0 the whole generator is
 elementwise and rho_T = exp(T lam (sum_k K_k - N)) o rho_0 is exact for any
 particle count.  A kinetic H0 adds the commutator, whose exact flow is one
 FFT pair around a phase; the oracle composes the two exact flows by a
@@ -385,6 +388,9 @@ class EnsembleResult:
         return self.mean_positions[:, k, :]
 
 
+BATCH_SIZE = 64  # trajectories per lockstep batch, whatever the worker count
+
+
 def _position_means(amps: np.ndarray, grid: GridSpec, n_particles: int):
     """``expectation_position`` of every particle, for a stack of states."""
     dim = grid.dim
@@ -445,7 +451,7 @@ def run_ensemble(
     n_traj: int,
     master_seed: int,
     workers: int = 1,
-    batch_size: int = 64,
+    batch_size: int = BATCH_SIZE,
 ) -> EnsembleResult:
     """Average of n_traj trajectory projectors, reproducible across workers.
 
@@ -548,18 +554,16 @@ def flash_quadrature_grid(grid: GridSpec, params: PhysicalParams, refine=None):
     return nodes, step**grid.dim
 
 
-def flash_kernel_matrices(
-    grid: GridSpec,
-    params: PhysicalParams,
-    softening: float,
+def _kernel_tables(
+    grid: GridSpec, params: PhysicalParams, softening: float
 ) -> list[np.ndarray]:
-    """Elementwise Kraus kernels K_k[I, J] = int dx_f B_I(x_f) B_J(x_f)*.
+    """Per particle k, the rows of K_k with particle 0 on grid point 0.
 
-    B_k(x_f) is diagonal in position, so the whole flash integral of the
-    master equation reduces to these matrices.  Distances are minimum-image
-    on the periodic box, which truncates each Gaussian at half a box length
-    L: K_k[I, I] = erf(L / 2 r_C)^dim, so each jump loses about
-    erfc(L / 2 r_C) of trace per axis (1.5e-8 at L = 8 r_C).
+    In C order particle 0's axes lead, so those rows are the first M^(n-1)
+    of the M^n joint indices (M = n_points^dim): T_k = w v0 v^H with v the
+    tensor factor v[I, f] = prod_l B_l(x_I, x_f) over the flash nodes f and
+    v0 its first M^(n-1) rows, one (M^(n-1) x F)(F x M^n) product.
+    ``_expand`` recovers every other row from these.
     """
     n = params.n_particles
     has_sharp_gravity = params.G != 0.0 and params.smearing.kind == "sharp"
@@ -581,7 +585,6 @@ def flash_kernel_matrices(
     nodes, weight = flash_quadrature_grid(grid, params, refine)
     pts = grid.points()                       # (M, dim) per-particle points
     m = pts.shape[0]
-    b = m**n
     r_gm = params.r_G_matrix()
     has_gravity = params.G != 0.0
     prefactor = (np.pi * params.r_C**2) ** (-grid.dim / 4.0)
@@ -596,7 +599,7 @@ def flash_kernel_matrices(
         else:
             shape = smeared_newton_potential(dist, params.smearing.width)
 
-    kernels = []
+    tables = []
     n_nodes = nodes.shape[0]
     for k in range(n):
         v = None
@@ -613,8 +616,64 @@ def flash_kernel_matrices(
             v = factor if v is None else (
                 v[:, None, :] * factor[None, :, :]
             ).reshape(-1, n_nodes)
-        kernels.append(weight * (v @ v.conj().T))
-    return kernels
+        tables.append(weight * (v[:m ** (n - 1)] @ v.conj().T))
+    return tables
+
+
+def _expand(table, grid: GridSpec, n_particles: int, times=None) -> np.ndarray:
+    """The b x b matrix K[I, J] = table[rel(I), rel(J)], times ``times``.
+
+    rel shifts every particle of an index by -i0, particle 0's grid point in
+    I, per axis and mod n_points.  K is built one block of rows per value of
+    i0, each with one permutation of the b joint indices, so no b x b index
+    array is ever held.
+    """
+    joint = np.arange(table.shape[1]).reshape(grid.joint_shape(n_particles))
+    per = table.shape[0]
+    every_axis = tuple(range(joint.ndim))
+    out = np.empty((table.shape[1],) * 2, dtype=np.complex128)
+    for s, point in enumerate(np.ndindex(*grid.joint_shape(1))):
+        # cols[J] = rel(J): np.roll(a, p)[j] = a[j - p] on every particle axis
+        cols = np.roll(joint, point * n_particles, axis=every_axis).ravel()
+        block = slice(s * per, (s + 1) * per)
+        part = table[np.ix_(cols[block], cols)]
+        if times is None:
+            out[block] = part
+        else:
+            np.multiply(part, times[block], out=out[block])
+    return out
+
+
+def _generator_table(grid: GridSpec, params: PhysicalParams, softening: float):
+    """lam (sum_k T_k - N): the shift-invariant table of Q = lam (sum_k K_k - N)."""
+    tables = _kernel_tables(grid, params, softening)
+    return params.lam * (sum(tables) - params.n_particles)
+
+
+def flash_kernel_matrices(
+    grid: GridSpec,
+    params: PhysicalParams,
+    softening: float,
+) -> list[np.ndarray]:
+    """Elementwise Kraus kernels K_k[I, J] = int dx_f B_I(x_f) B_J(x_f)*.
+
+    B_k(x_f) is diagonal in position, so the whole flash integral of the
+    master equation reduces to these matrices.  Distances are minimum-image
+    on the periodic box, which truncates each Gaussian at half a box length
+    L: K_k[I, I] = erf(L / 2 r_C)^dim, so each jump loses about
+    erfc(L / 2 r_C) of trace per axis (1.5e-8 at L = 8 r_C).
+
+    The collapse Gaussian and the kick phase depend on x - x_f only, and the
+    flash nodes refine the grid by an integer on the periodic box, so
+    shifting every particle by one grid step permutes the nodes and leaves
+    K_k unchanged: K_k takes M^(2n-1) distinct values out of b^2 = M^(2n)
+    (M = n_points^dim).  Each K_k is gathered from the table of its rows
+    with particle 0 on grid point 0 (``_kernel_tables``, ``_expand``).
+    """
+    return [
+        _expand(table, grid, params.n_particles)
+        for table in _kernel_tables(grid, params, softening)
+    ]
 
 
 def master_generator(
@@ -625,17 +684,19 @@ def master_generator(
 ) -> np.ndarray:
     """Right-hand side of the master equation, as kernel-value entries.
 
-    Precomputed ``kernels`` may be supplied to amortize the kernel build
+    The flash part is Q o rho, Q = lam (sum_k K_k - N), gathered from the
+    M^(2n-1) shift-invariant kernel values (see ``flash_kernel_matrices``);
+    precomputed ``kernels`` may be supplied instead, to amortize the build
     across calls.  A kinetic H0 adds -(i/hbar)[H0, rho], applied as one
     ``fftn`` over all ket and bra axes, a multiply by (E_ket - E_bra)/hbar
     and one ``ifftn``: H0 is real symmetric, so rho H0 is the same filter
     applied on the bra axes.
     """
     if kernels is None:
-        kernels = flash_kernel_matrices(
-            rho.grid, params, config.softening_for(rho.grid)
-        )
-    out = params.lam * (sum(kernels) - params.n_particles) * rho.entries
+        table = _generator_table(rho.grid, params, config.softening_for(rho.grid))
+        out = _expand(table, rho.grid, params.n_particles, times=rho.entries)
+    else:
+        out = params.lam * (sum(kernels) - params.n_particles) * rho.entries
     if config.hamiltonian == "kinetic":
         filt = _commutator_filter(rho.grid, params)
         spectral = np.fft.fftn(rho.entries.reshape(filt.shape)) * filt
@@ -690,18 +751,22 @@ def master_evolve(
 
     With H0 = 0 the generator acts elementwise, d rho/dt = Q o rho with
     Q = lam (sum_k K_k - N), so rho_T = exp(T Q) o rho0 is exact for any
-    particle count and ``dt`` is unused.  That result is returned as is: it
-    is Hermitian whenever rho0 is, and the trace it loses to the wrapped
-    kernels (see ``flash_kernel_matrices``) belongs to the model.
+    particle count and ``dt`` is unused.  exp(T Q) is taken on the
+    M^(2n-1) shift-invariant values of Q and gathered straight into the
+    product with rho0, one block of rows per grid point of particle 0 (see
+    ``flash_kernel_matrices``), so no b x b kernel is held.  That result is
+    returned as is: it is Hermitian to rounding whenever rho0 is, and the
+    trace it loses to the wrapped kernels belongs to the model.
 
     A kinetic H0 adds -(i/hbar)[H0, rho], whose exact flow is a phase in the
     DFT basis of the ket and bra axes; ``_split_flow`` composes the two
-    exact flows.  From ceil(T/dt) steps (one without ``dt``) the count
-    doubles until successive results differ by at most MASTER_TOL max|rho0|
-    and the finer one, ~15x closer to the exact flow, is returned.  diag(Q)
-    is one constant on the periodic grid and the commutator is traceless,
-    so the model's trace is tr(rho0) exp(T Q[0, 0]): the result must keep
-    it to 1e-8, and Hermiticity to 1e-9, else StepControlError.
+    exact flows, on Q gathered once from its table.  From ceil(T/dt) steps
+    (one without ``dt``) the count doubles until successive results differ
+    by at most MASTER_TOL max|rho0| and the finer one, ~15x closer to the
+    exact flow, is returned.  diag(Q) is one constant on the periodic grid
+    and the commutator is traceless, so the model's trace is
+    tr(rho0) exp(T Q[0, 0]): the result must keep it to 1e-8, and
+    Hermiticity to 1e-9, else StepControlError.
     """
     diags = validate_params(params)
     if diags:
@@ -709,17 +774,17 @@ def master_evolve(
     total_time = config.total_time
     if total_time == 0.0:
         return rho0
-    kernels = flash_kernel_matrices(
-        rho0.grid, params, config.softening_for(rho0.grid)
-    )
-    q = params.lam * (sum(kernels) - params.n_particles)
+    grid, n = rho0.grid, params.n_particles
+    table = _generator_table(grid, params, config.softening_for(grid))
     if config.hamiltonian == "none":
-        return rho0.with_entries(np.exp(total_time * q) * rho0.entries)
+        decay = np.exp(total_time * table)
+        return rho0.with_entries(_expand(decay, grid, n, times=rho0.entries))
 
     tol = MASTER_TOL * float(np.max(np.abs(rho0.entries)))
     if not math.isfinite(tol):
         raise ValueError("rho0 has non-finite entries")
-    filt = _commutator_filter(rho0.grid, params)
+    q = _expand(table, grid, n)
+    filt = _commutator_filter(grid, params)
     n_steps = 1 if dt is None else max(1, math.ceil(total_time / dt))
     coarse, fine = None, _split_flow(rho0.entries, q, filt, total_time, n_steps)
     # "not <=": an overflowed (non-finite) coarse level means keep doubling
@@ -727,7 +792,7 @@ def master_evolve(
         n_steps *= 2
         coarse, fine = fine, _split_flow(rho0.entries, q, filt, total_time, n_steps)
     rho = rho0.with_entries(fine)
-    law = rho0.trace().real * math.exp(total_time * q[0, 0].real)
+    law = rho0.trace().real * math.exp(total_time * table[0, 0].real)
     trace_drift = abs(rho.trace().real - law)
     herm_drift = float(np.max(np.abs(rho.entries - rho.entries.conj().T)))
     if not (trace_drift < 1e-8 and herm_drift < 1e-9):
@@ -789,8 +854,15 @@ def ensemble_vs_master_check(
     """Run the ensemble and its deterministic oracle; compare in trace distance.
 
     Passes when the distance is below 3x the estimated Monte Carlo standard
-    error and that standard error is below ``se_limit``.
+    error and that standard error is below ``se_limit``.  That estimate
+    compares batches, so n_traj must exceed one batch of BATCH_SIZE; fewer
+    are refused before any work.
     """
+    if n_traj <= BATCH_SIZE:
+        raise ValueError(
+            f"verify needs more than {BATCH_SIZE} trajectories (got {n_traj}): "
+            f"its noise estimate compares at least two batches of {BATCH_SIZE}"
+        )
     result = run_ensemble(psi0, params, config, n_traj, master_seed, workers=workers)
     # dt = T: a kinetic oracle starts from one step and doubles to tolerance
     oracle = master_evolve(pure_density(psi0), params, config, dt=config.total_time)

@@ -14,6 +14,7 @@ from grwflash.config import (
     params_hash,
     save_config,
 )
+from grwflash.dynamics import BATCH_SIZE
 from grwflash.state import GridSpec
 from grwflash.units import dimensionless_params
 
@@ -218,6 +219,18 @@ def test_cli_verify_pass_and_fail(tmp_path):
     ])
     assert rc == 1
     assert json.loads((out2 / "verify_report.json").read_text())["passed"] is False
+
+
+def test_cli_verify_refuses_fewer_than_two_batches(tmp_path, capsys):
+    cfg = write(
+        tmp_path,
+        MINIMAL + "\n[verify]\nn_traj = 32\ntotal_time = 2.0\nse_limit = 0.5\n",
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "verify"]) == 2
+    # refused up front, not by the noise estimate after the whole run
+    assert f"more than {BATCH_SIZE} trajectories" in capsys.readouterr().err
+    assert not (out / "verify_report.json").exists()
 
 
 def test_cli_verify_on_8_rc_box(tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,9 +10,12 @@ from scipy.stats import chi2, poisson
 
 from grwflash.collapse import apply_collapse, next_flash, rng_stream, sample_flash_position
 from grwflash.dynamics import (
+    BATCH_SIZE,
+    MASTER_TOL,
     EvolutionConfig,
     StepControlError,
     TrajectoryError,
+    _kernel_tables,
     _lockstep,
     ensemble_vs_master_check,
     exact_diagonal_solution,
@@ -24,7 +28,12 @@ from grwflash.dynamics import (
     run_trajectory,
     trace_distance_se,
 )
-from grwflash.gravity import apply_gravitational_kick, phase_profile
+from grwflash.gravity import (
+    apply_gravitational_kick,
+    phase_profile,
+    smeared_newton_potential,
+    softened_inverse_distance,
+)
 from grwflash.state import (
     DensityMatrix,
     GridSpec,
@@ -37,7 +46,7 @@ from grwflash.state import (
     pure_density,
     trace_distance,
 )
-from grwflash.units import PhysicalParams, dimensionless_params
+from grwflash.units import PhysicalParams, Smearing, dimensionless_params
 
 
 GRID = GridSpec.centered(1, 64, 0.25)
@@ -532,6 +541,91 @@ def test_kernel_matrix_diagonal_and_hermiticity():
     assert np.max(np.abs(k - k.conj().T)) < 1e-12
 
 
+def _dense_factors(grid, params, softening):
+    """Per k the full tensor factor v[I, f] = prod_l B_l(x_I, x_f), and w."""
+    sharp = params.G != 0.0 and params.smearing.kind == "sharp"
+    refine = None
+    if sharp:
+        refine = max(math.ceil(4 * grid.spacing / params.r_C - 1e-12),
+                     math.ceil(4 * grid.spacing / softening - 1e-12), 1)
+    nodes, weight = flash_quadrature_grid(grid, params, refine)
+    pts = grid.points()
+    dist = np.sqrt(np.sum(grid.min_image(pts[:, None] - nodes[None]) ** 2, axis=-1))
+    loc = (np.pi * params.r_C**2) ** (-grid.dim / 4) * np.exp(
+        -(dist**2) / (2 * params.r_C**2))
+    if params.G == 0.0:
+        shape = np.zeros_like(dist)
+    elif sharp:
+        shape = softened_inverse_distance(dist, softening)
+    else:
+        shape = smeared_newton_potential(dist, params.smearing.width)
+    r_gm = params.r_G_matrix()
+    n = params.n_particles
+    factors = []
+    for k in range(n):
+        v = np.ones((1, nodes.shape[0]), dtype=complex)
+        for l in range(n):
+            factor = np.exp(1j * r_gm[k, l] * shape) * (loc if l == k else 1.0)
+            v = (v[:, None, :] * factor[None, :, :]).reshape(-1, nodes.shape[0])
+        factors.append(v)
+    return factors, weight
+
+
+def _dense_flash_kernels(grid, params, softening):
+    """Reference K_k = w v v^H, one dense b x b product per particle."""
+    factors, weight = _dense_factors(grid, params, softening)
+    return [weight * (v @ v.conj().T) for v in factors]
+
+
+_EVEN_1D = GridSpec(1, 12, 0.5, (-3.0,))
+_ODD_1D = GridSpec(1, 7, 0.6, (-1.7,))      # odd count, non-dyadic spacing
+
+
+@pytest.mark.parametrize("grid, n", [
+    (_EVEN_1D, 1), (_EVEN_1D, 2), (GridSpec(1, 8, 0.5, (-2.0,)), 3),
+    (_ODD_1D, 1), (_ODD_1D, 2), (_ODD_1D, 3),
+    (GridSpec(3, 4, 0.5, (-0.75,)), 1), (GridSpec(3, 5, 0.6, (-1.1,)), 1),
+], ids=["1d-even-1", "1d-even-2", "1d-even-3", "1d-odd-1", "1d-odd-2",
+        "1d-odd-3", "3d-even-1", "3d-odd-1"])
+@pytest.mark.parametrize("G, smearing", [
+    (0.0, Smearing.sharp()),
+    (0.3, Smearing.sharp()),
+    (0.3, Smearing.gaussian(0.5)),
+], ids=["G0", "sharp", "gaussian"])
+def test_kernels_from_shift_tables_match_dense_reference(grid, n, G, smearing):
+    # K_k gathered from its M^(2n-1) shift-invariant values against the
+    # dense product over the full tensor factor; softening = spacing keeps
+    # the sharp 3D node count at (4 n_points)^3
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=G, hbar=1.0,
+                            masses=(1.0, 1.5, 0.7)[:n], smearing=smearing)
+    got = flash_kernel_matrices(grid, params, softening=grid.spacing)
+    ref = _dense_flash_kernels(grid, params, grid.spacing)
+    assert len(got) == n
+    for k_got, k_ref in zip(got, ref):
+        assert np.max(np.abs(k_got - k_ref)) <= 1e-14 * np.max(np.abs(k_ref))
+
+
+def test_kernel_tables_give_row_blocks_in_3d_with_two_particles():
+    # b = 4096: particle-0 row blocks of K_k, from the table by a shift of
+    # every particle index (per axis, mod n_points), against its dense rows
+    grid = GridSpec(3, 4, 0.5, (-0.75,))
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 1.5),
+                            smearing=Smearing.gaussian(0.5))
+    tables = _kernel_tables(grid, params, grid.spacing / 2)
+    factors, weight = _dense_factors(grid, params, grid.spacing / 2)
+    m, b = grid.basis_size, grid.basis_size**2
+    idx = np.stack(np.unravel_index(np.arange(b), grid.joint_shape(2)), axis=-1)
+    for s in (0, 1, 22, 63):
+        shift = np.tile(np.unravel_index(s, grid.joint_shape(1)), 2)
+        rel = np.ravel_multi_index(((idx - shift) % grid.n_points).T,
+                                   grid.joint_shape(2))
+        block = slice(s * m, (s + 1) * m)
+        for table, v in zip(tables, factors):
+            dense_rows = weight * (v[block] @ v.conj().T)
+            got = table[np.ix_(rel[block], rel)]
+            assert np.max(np.abs(got - dense_rows)) <= 1e-14 * np.max(np.abs(table))
+
+
 def test_kernel_matrix_needs_softening_in_sharp_mode():
     params = dimensionless_params(lam=1.0, r_G=0.3)
     with pytest.raises(ValueError, match="softening"):
@@ -654,6 +748,23 @@ def test_master_evolve_exact_for_any_particle_count():
     )) < 1e-12
 
 
+def test_master_evolve_holds_under_two_dense_matrices():
+    # H0 = 0 at b = 576: exp(T Q) is taken on the kernel table and gathered
+    # straight into the product with rho0, so besides the result the run
+    # holds only blocks of b / M rows, never a b x b kernel
+    grid = GridSpec.centered(1, 24, 0.5)
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 1.0))
+    rho0 = pure_density(make_gaussian_packet(grid, 2, [[-1.0], [1.0]], [1.0, 1.0]))
+    tracemalloc.start()
+    try:
+        out = master_evolve(rho0, params, EvolutionConfig(total_time=1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.entries.shape == (576, 576)
+    assert peak < 2 * out.entries.nbytes
+
+
 def test_master_evolve_unitary_limit_conserves_purity():
     # collapse rate so small the dissipator is numerically absent
     grid = GridSpec.centered(1, 32, 0.4)
@@ -672,9 +783,9 @@ def test_master_evolve_zero_time_is_identity():
     assert np.array_equal(out.entries, rho0.entries)
 
 
-def test_master_evolve_kinetic_rk4_matches_superoperator_exponential():
-    # kinetic H0 with lam = 1: RK4 on master_generator against expm of the
-    # full generator Q o rho - i[H0, rho] acting on the flattened rho
+def test_master_evolve_kinetic_split_flow_matches_superoperator_exponential():
+    # kinetic H0 with lam = 1: the split flow of master_evolve against expm
+    # of the full generator Q o rho - i[H0, rho] acting on the flattened rho
     grid = GridSpec.centered(1, 24, 0.5)
     params = dimensionless_params(lam=1.0, r_G=0.3)
     rho0 = pure_density(make_gaussian_packet(grid, 1, [[0.5]], [1.0], [[1.5]]))
@@ -717,6 +828,8 @@ def test_master_evolve_kinetic_two_particles_match_superoperator_exponential():
     assert np.max(np.abs(ref - rho0.entries)) > 0.1 * scale
     out = master_evolve(rho0, params, cfg)
     assert np.max(np.abs(out.entries - ref)) < 1e-8 * scale
+    # positivity holds to the splitting error: w0 < 0 amplifies coherences
+    assert float(np.min(out.eigenvalues())) >= -MASTER_TOL * scale
 
 
 def test_master_evolve_kinetic_trace_follows_wrapped_kernel_law():
@@ -825,7 +938,7 @@ def test_verify_check_runs_on_8_rc_box():
 
 def test_verify_check_kinetic_trajectories_match_oracle():
     # a moving, spreading packet: trajectories with exact free flight
-    # against the RK4 oracle with the FFT commutator
+    # against the split-flow oracle with the FFT commutator
     grid = GridSpec.centered(1, 32, 0.4)
     params = dimensionless_params(lam=1.0, r_G=0.3)
     psi0 = make_gaussian_packet(grid, 1, [[0.0]], [1.0], [[1.0]])
@@ -857,6 +970,23 @@ def test_verify_check_two_particle_kinetic_trajectories_match_oracle():
     static = master_evolve(pure_density(psi0), params,
                            EvolutionConfig(total_time=0.5))
     assert trace_distance(oracle, static) > 3 * 3 * report.std_error
+
+
+def test_verify_check_refuses_one_batch_before_any_work(monkeypatch):
+    # the noise estimate needs two batches: n_traj <= BATCH_SIZE is refused
+    # before the ensemble or the oracle runs
+    import grwflash.dynamics as dynamics
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(dynamics, "run_ensemble", never)
+    monkeypatch.setattr(dynamics, "master_evolve", never)
+    params = dimensionless_params(lam=1.0, r_G=0.3)
+    for n_traj in (2, BATCH_SIZE):
+        with pytest.raises(ValueError, match="two batches"):
+            ensemble_vs_master_check(packet(), params,
+                                     EvolutionConfig(total_time=1.0), n_traj, 0)
 
 
 def test_verify_check_passes_and_reports():
