@@ -3,8 +3,15 @@
 Every run writes its outputs plus a JSON manifest (params, grid, seeds,
 code version, params hash, flags).  CSV outputs are deterministic: reruns
 with identical manifest inputs are byte-identical; timestamps live only in
-the manifest.  Exit codes: 0 success, 1 physics-check failure (verify),
-2 usage/configuration error.
+the manifest.  Every CSV starts with a ``# params_hash=...`` line (plus
+``master_seed=...`` for stochastic runs) and a column line; each cell is
+the repr of a Python int or float.  ``density_matrix.csv`` has b^2 rows
+``i,j,re,im,std_error`` in i-major order; its writer formats each
+Hermitian pair once and spills the mirror lines to anonymous temporary
+files in the output directory (at most about a quarter of the CSV's size
+at once).
+Exit codes: 0 success, 1 physics-check failure (verify), 2 usage,
+configuration or output-directory error.
 """
 
 from __future__ import annotations
@@ -79,6 +86,14 @@ def _write_manifest(out_dir, config: ExperimentConfig, args, outputs,
         fh.write("\n")
 
 
+def _csv_header(config: ExperimentConfig, columns, master_seed=None) -> str:
+    """The two header lines of every CLI CSV: params hash (and seed), columns."""
+    header = f"# params_hash={params_hash(config.params, config.grid)}"
+    if master_seed is not None:
+        header += f" master_seed={master_seed}"
+    return header + "\n" + ",".join(columns) + "\n"
+
+
 def _write_csv(path, config: ExperimentConfig, columns, rows,
                master_seed=None) -> None:
     """Params-hash header, column line, then one line per row.
@@ -86,14 +101,92 @@ def _write_csv(path, config: ExperimentConfig, columns, rows,
     Each cell is written as the repr of a Python int or float, so callers
     pass Python scalars (``.tolist()``, ``float()``), never numpy scalars.
     """
-    header = f"# params_hash={params_hash(config.params, config.grid)}"
-    if master_seed is not None:
-        header += f" master_seed={master_seed}"
     line = ",".join(["%r"] * len(columns)) + "\n"
     with open(path, "w") as fh:
-        fh.write(header + "\n" + ",".join(columns) + "\n")
+        fh.write(_csv_header(config, columns, master_seed))
         for row in rows:
             fh.write(line % row)
+
+
+DENSITY_BLOCK = 64  # target rows per spill file of _write_density_csv
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _write_density_csv(path, config: ExperimentConfig, entries, entry_se,
+                       master_seed) -> None:
+    """``density_matrix.csv``: ``i,j,re,im,std_error`` rows, b^2 of them, i-major.
+
+    The bytes are those of ``_write_csv`` over every (i, j), but each
+    Hermitian pair is formatted once.  Row i formats its entries j >= i; the
+    line of the mirror (j, i) reuses their three strings, with the sign of
+    im flipped, wherever the bits make that exact: equal re and std_error,
+    and im(j, i) the negated bits of a non-nan im(i, j).  Every other mirror
+    is formatted from its own values, so any input gives the same bytes.
+    Mirror lines wait in column order in one anonymous spill file per
+    ``DENSITY_BLOCK`` target rows, in the output directory, until their
+    block's rows are written.  A block reads its file back whole and takes
+    row k's lines with ``spilled[k::size]``: memory holds one block's spill,
+    the disk at most about a quarter of the CSV.
+    """
+    import tempfile
+
+    ent = np.asarray(entries, dtype=np.complex128)
+    se = np.asarray(entry_se, dtype=np.float64)
+    b = ent.shape[0]
+    re, im = ent.real, ent.imag
+    re_bits, im_bits = re.view(np.uint64), im.view(np.uint64)
+    se_bits = se.view(np.uint64)
+    starts = range(0, b, DENSITY_BLOCK)
+    spill_dir = os.path.dirname(os.path.abspath(path))
+    spills = []
+    try:
+        for _ in starts[1:]:
+            spills.append(tempfile.TemporaryFile(
+                "w+", encoding="ascii", newline="", dir=spill_dir))
+        with open(path, "w") as out:
+            out.write(_csv_header(config, ["i", "j", "re", "im", "std_error"],
+                                  master_seed))
+            for n, start in enumerate(starts):
+                stop = min(start + DENSITY_BLOCK, b)
+                size = stop - start
+                spilled = []
+                if n:
+                    spills[n - 1].seek(0)
+                    spilled = spills[n - 1].readlines()
+                    spills[n - 1].close()
+                inner = [[] for _ in range(size)]  # mirrors from this block
+                for i in range(start, stop):
+                    rs = list(map(repr, re[i, i:].tolist()))
+                    ims = list(map(repr, im[i, i:].tolist()))
+                    ses = list(map(repr, se[i, i:].tolist()))
+                    # columns < start, then start..i-1, then i..b-1
+                    out.write("".join(spilled[i - start::size]))
+                    out.write("".join(inner[i - start]))
+                    out.write("".join([
+                        f"{i},{j},{r},{m},{e}\n"
+                        for j, r, m, e in zip(range(i, b), rs, ims, ses)]))
+                    lo = i + 1
+                    mirror = [
+                        f"{j},{i},{r},{m[1:] if m[0] == '-' else '-' + m},{e}\n"
+                        for j, r, m, e in zip(range(lo, b), rs[1:], ims[1:],
+                                              ses[1:])]
+                    exact = ((re_bits[i, lo:] == re_bits[lo:, i])
+                             & (se_bits[i, lo:] == se_bits[lo:, i])
+                             & (im_bits[lo:, i] == im_bits[i, lo:] ^ _SIGN_BIT)
+                             & ~np.isnan(im[i, lo:]))
+                    for k in np.flatnonzero(~exact).tolist():
+                        j = lo + k
+                        mirror[k] = "%r,%r,%r,%r,%r\n" % (
+                            j, i, re[j, i].item(), im[j, i].item(),
+                            se[j, i].item())
+                    for row, line in zip(inner[lo - start:], mirror):
+                        row.append(line)
+                    for later, fh in enumerate(spills[n:], start=n + 1):
+                        first = starts[later] - lo
+                        fh.write("".join(mirror[first:first + DENSITY_BLOCK]))
+    finally:
+        for fh in spills:
+            fh.close()
 
 
 def _initial_state(config: ExperimentConfig, section: dict):
@@ -156,28 +249,22 @@ def _cmd_ensemble(config, args, out_dir):
         psi0, config.params, evo, sec["n_traj"], sec["master_seed"],
         workers=args.threads,
     )
-    rho_path = os.path.join(out_dir, "density_matrix.csv")
+    # Keep what the outputs need and drop the rest (the half-split sums)
+    # before the density writer runs.
     ent, se = result.rho.entries, result.entry_se
-    # One matrix row at a time: a b x b table as Python floats would not fit
-    # in the memory the ensemble itself needs.
-    rows = (
-        (i, j, re, im, e)
-        for i in range(ent.shape[0])
-        for j, re, im, e in zip(range(ent.shape[1]), ent[i].real.tolist(),
-                                ent[i].imag.tolist(), se[i].tolist())
-    )
-    _write_csv(rho_path, config, ["i", "j", "re", "im", "std_error"], rows,
-               sec["master_seed"])
+    counts, n_traj = result.flash_counts, result.n_traj
+    del result
+    rho_path = os.path.join(out_dir, "density_matrix.csv")
+    _write_density_csv(rho_path, config, ent, se, sec["master_seed"])
     stats_path = os.path.join(out_dir, "ensemble_report.json")
-    counts = result.flash_counts
     with open(stats_path, "w") as fh:
         json.dump({
-            "n_traj": result.n_traj,
+            "n_traj": n_traj,
             "flash_count_mean": float(counts.mean()),
             "flash_count_var": float(counts.var(ddof=1)),
             "expected_mean": config.params.lam * config.params.n_particles
                              * evo.total_time,
-            "max_entry_se": float(result.entry_se.max()),
+            "max_entry_se": float(se.max()),
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
     _write_manifest(out_dir, config, args, [rho_path, stats_path],
@@ -357,7 +444,7 @@ def main(argv=None) -> int:
             config = None
         return run_subcommand(config, args) if config is not None else \
             _cmd_presets(None, args, None)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

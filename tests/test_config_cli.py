@@ -137,6 +137,21 @@ def test_cli_negative_threads_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_unusable_out_dir_is_usage_error(tmp_path, capsys):
+    # a regular file, or a path below one, cannot hold the outputs
+    cfg = write(tmp_path, MINIMAL + "\n[ensemble]\nn_traj = 4\ntotal_time = 0.5\n"
+                "\n[trajectory]\ntotal_time = 0.5\n")
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    for out in (blocker, blocker / "below"):
+        for subcommand in ("ensemble", "trajectory"):
+            rc = main(["--config", str(cfg), "--out-dir", str(out), subcommand])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+    assert blocker.read_text() == "keep"
+
+
 def test_cli_unknown_hamiltonian_is_usage_error(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL + "\n[trajectory]\ntotal_time = 1.5\n"
                 "hamiltonian = harmonic\n")
