@@ -9,7 +9,8 @@ the repr of a Python int or float.  ``density_matrix.csv`` has b^2 rows
 ``i,j,re,im,std_error`` in i-major order; its writer formats each
 Hermitian pair once and spills the mirror lines to anonymous temporary
 files in the output directory (at most about a quarter of the CSV's size
-at once).
+at once).  Every CSV and JSON output is written under a temporary name and
+renamed into place when complete, so a failed write leaves no partial file.
 Exit codes: 0 success, 1 physics-check failure (verify), 2 usage,
 configuration or output-directory error.
 """
@@ -17,6 +18,7 @@ configuration or output-directory error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -51,6 +53,33 @@ from .units import (
 ENV_OUT_DIR = "GRWFLASH_OUT_DIR"
 
 
+@contextlib.contextmanager
+def _whole_file(path):
+    """Open a text file that appears at ``path`` whole or not at all.
+
+    It is written under a temporary name beside ``path``, renamed over it
+    once closed and removed on any exception.  Exclusive creation gives it
+    the mode a plain ``open`` gives.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _write_json(path, payload) -> None:
+    """``payload`` as indented, key-sorted JSON with a final newline."""
+    with _whole_file(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, config: ExperimentConfig, args, outputs,
                     master_seed=None, n_traj=None) -> None:
     """Write manifest.json, the reproducibility record of one subcommand run."""
@@ -81,9 +110,7 @@ def _write_manifest(out_dir, config: ExperimentConfig, args, outputs,
         "outputs": [os.path.basename(str(o)) for o in outputs],
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _csv_header(config: ExperimentConfig, columns, master_seed=None) -> str:
@@ -102,7 +129,7 @@ def _write_csv(path, config: ExperimentConfig, columns, rows,
     pass Python scalars (``.tolist()``, ``float()``), never numpy scalars.
     """
     line = ",".join(["%r"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
+    with _whole_file(path) as fh:
         fh.write(_csv_header(config, columns, master_seed))
         for row in rows:
             fh.write(line % row)
@@ -143,7 +170,7 @@ def _write_density_csv(path, config: ExperimentConfig, entries, entry_se,
         for _ in starts[1:]:
             spills.append(tempfile.TemporaryFile(
                 "w+", encoding="ascii", newline="", dir=spill_dir))
-        with open(path, "w") as out:
+        with _whole_file(path) as out:
             out.write(_csv_header(config, ["i", "j", "re", "im", "std_error"],
                                   master_seed))
             for n, start in enumerate(starts):
@@ -257,16 +284,14 @@ def _cmd_ensemble(config, args, out_dir):
     rho_path = os.path.join(out_dir, "density_matrix.csv")
     _write_density_csv(rho_path, config, ent, se, sec["master_seed"])
     stats_path = os.path.join(out_dir, "ensemble_report.json")
-    with open(stats_path, "w") as fh:
-        json.dump({
-            "n_traj": n_traj,
-            "flash_count_mean": float(counts.mean()),
-            "flash_count_var": float(counts.var(ddof=1)),
-            "expected_mean": config.params.lam * config.params.n_particles
-                             * evo.total_time,
-            "max_entry_se": float(se.max()),
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(stats_path, {
+        "n_traj": n_traj,
+        "flash_count_mean": float(counts.mean()),
+        "flash_count_var": float(counts.var(ddof=1)),
+        "expected_mean": config.params.lam * config.params.n_particles
+                         * evo.total_time,
+        "max_entry_se": float(se.max()),
+    })
     _write_manifest(out_dir, config, args, [rho_path, stats_path],
                     master_seed=sec["master_seed"], n_traj=sec["n_traj"])
     print(f"ensemble n={sec['n_traj']}: mean flash count {counts.mean():.3f}, "
@@ -289,16 +314,14 @@ def _cmd_verify(config, args, out_dir):
         se_limit=sec["se_limit"], workers=args.threads,
     )
     report_path = os.path.join(out_dir, "verify_report.json")
-    with open(report_path, "w") as fh:
-        json.dump({
-            "trace_distance": report.trace_dist,
-            "std_error": report.std_error,
-            "three_sigma_bound": 3 * report.std_error,
-            "se_limit": report.se_limit,
-            "n_traj": report.n_traj,
-            "passed": report.passed,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report_path, {
+        "trace_distance": report.trace_dist,
+        "std_error": report.std_error,
+        "three_sigma_bound": 3 * report.std_error,
+        "se_limit": report.se_limit,
+        "n_traj": report.n_traj,
+        "passed": report.passed,
+    })
     _write_manifest(out_dir, config, args, [report_path],
                     master_seed=sec["master_seed"], n_traj=sec["n_traj"])
     print(report.summary())
@@ -329,15 +352,13 @@ def _cmd_slope(config, args, out_dir):
                zip(fit.separations.tolist(), fit.excess.tolist(),
                    fit.errors.tolist()))
     report_path = os.path.join(out_dir, "slope_report.json")
-    with open(report_path, "w") as fh:
-        json.dump({
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "expected_slope": fit.expected_slope,
-            "rel_deviation": fit.rel_deviation,
-            "r_squared": fit.r_squared,
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report_path, {
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "expected_slope": fit.expected_slope,
+        "rel_deviation": fit.rel_deviation,
+        "r_squared": fit.r_squared,
+    })
     _write_manifest(out_dir, config, args, [path, report_path])
     print(f"slope {fit.slope:.6g} vs expected {fit.expected_slope:.6g} "
           f"({100 * fit.rel_deviation:.2f}% off, R^2={fit.r_squared:.6f})")

@@ -37,9 +37,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 _PARSERS = {
     "float": _parse_float,
-    "int": lambda t: int(t),
+    "int": int,
     "str": lambda t: t.strip(),
-    "bool": lambda t: t.strip().lower() in ("1", "true", "yes", "on"),
     "float_list": _parse_float_list,
 }
 
@@ -192,7 +191,7 @@ def load_config(path) -> ExperimentConfig:
             if key in given:
                 try:
                     values[key] = _PARSERS[typ](given[key])
-                except ConfigError as exc:
+                except ValueError as exc:  # ConfigError included
                     raise ConfigError(f"[{sec}] {key}: {exc}") from exc
             else:
                 values[key] = default

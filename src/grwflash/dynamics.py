@@ -26,11 +26,14 @@ The oracle solves the corresponding master equation
                + lam sum_k ( int dx_f B_k rho B_k^dag - rho )
 
 on the grid: B_k is position-diagonal, so the flash integral collapses to
-an elementwise kernel matrix K_k built on a quadrature grid at least 4x
-finer than r_C (refused otherwise).  The flash nodes refine the periodic
-grid by an integer, so K_k is unchanged when every particle shifts by one
-grid step: it is built from its M^(2n-1) distinct values, M = n_points^dim,
-not as a dense b x b product.  With H0 = 0 the whole generator is
+an elementwise kernel matrix K_k, a sum over flash nodes with step at most
+r_C/4 (and softening/4 under sharp gravity).  The kernels take B_k's
+factors from the calls a trajectory makes at a flash, ``collapse_factor``
+and ``profile_shape``, evaluated at the nodes, so the two engines share one
+flash operator.  The flash nodes refine the periodic grid by an integer,
+so K_k is unchanged when every particle shifts by one grid step: it is
+built from its M^(2n-1) distinct values, M = n_points^dim, not as a dense
+b x b product.  With H0 = 0 the whole generator is
 elementwise and rho_T = exp(T lam (sum_k K_k - N)) o rho_0 is exact for any
 particle count.  A kinetic H0 adds the commutator, whose exact flow is one
 FFT pair around a phase; the oracle composes the two exact flows by a
@@ -55,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collapse import FlashEvent, collapse_factor, rng_stream
-from .gravity import profile_shape, smeared_newton_potential, softened_inverse_distance
+from .gravity import profile_shape
 from .state import (
     MAX_DENSITY_BASIS,
     DensityMatrix,
@@ -535,23 +538,27 @@ def trace_distance_se(result: EnsembleResult) -> float:
     return float(np.mean(estimates))
 
 
-def flash_quadrature_grid(grid: GridSpec, params: PhysicalParams, refine=None):
-    """Uniform flash-position nodes on the periodic box, step <= r_C/4."""
-    min_refine = max(1, math.ceil(4.0 * grid.spacing / params.r_C - 1e-12))
-    if refine is None:
-        refine = min_refine
-    step = grid.spacing / refine
-    if step > params.r_C / 4.0 + 1e-12:
+def flash_quadrature_grid(grid: GridSpec, params: PhysicalParams, softening: float):
+    """Uniform flash-position nodes on the periodic box, and their weight.
+
+    The nodes refine the grid by the least integer making the step at most
+    r_C/4, and at most softening/4 under sharp gravity: the kick phase is
+    analytic in a strip of half-width ``softening``, so the trapezoid error
+    decays like exp(-2 pi softening / step).  Every grid point is a node.
+    Sharp mode needs softening > 0 even with G = 0: the kernels evaluate
+    the kick profile at every node.
+    """
+    sharp = params.smearing.kind == "sharp"
+    if sharp and not softening > 0:
         raise ValueError(
-            f"flash quadrature step {step:.4g} coarser than r_C/4 = "
-            f"{params.r_C / 4.0:.4g}: kernel under-resolved"
+            "master-side kernels need softening > 0 in sharp mode: the "
+            "phase is undefined on quadrature nodes hitting the flash"
         )
-    axes = [
-        o + step * np.arange(grid.n_points * refine) for o in grid.origin
-    ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=-1)
-    return nodes, step**grid.dim
+    length = min(params.r_C, softening) if sharp and params.G != 0 else params.r_C
+    refine = max(1, math.ceil(4.0 * grid.spacing / length - 1e-12))
+    fine = GridSpec(grid.dim, grid.n_points * refine, grid.spacing / refine,
+                    grid.origin)
+    return fine.points(), fine.cell_volume
 
 
 def _kernel_tables(
@@ -562,60 +569,27 @@ def _kernel_tables(
     In C order particle 0's axes lead, so those rows are the first M^(n-1)
     of the M^n joint indices (M = n_points^dim): T_k = w v0 v^H with v the
     tensor factor v[I, f] = prod_l B_l(x_I, x_f) over the flash nodes f and
-    v0 its first M^(n-1) rows, one (M^(n-1) x F)(F x M^n) product.
+    v0 its first M^(n-1) rows, one (M^(n-1) x F)(F x M^n) product.  B_k's
+    per-particle factors are the ones a trajectory applies at a flash on
+    x_f = f: the localizer ``collapse_factor`` on particle k and
+    exp(i r_G(k, l) ``profile_shape``) on every particle l.
     ``_expand`` recovers every other row from these.
     """
     n = params.n_particles
-    has_sharp_gravity = params.G != 0.0 and params.smearing.kind == "sharp"
-    if has_sharp_gravity and not softening > 0:
-        raise ValueError(
-            "master-side kernels need softening > 0 in sharp mode: the "
-            "phase is undefined on quadrature nodes hitting the flash"
-        )
-    refine = None
-    if has_sharp_gravity:
-        # The phase factor is analytic in a strip of half-width `softening`
-        # around the real axis; trapezoid error decays like exp(-2 pi a/h),
-        # so resolving a/4 makes the node sum effectively exact.
-        refine = max(
-            math.ceil(4.0 * grid.spacing / params.r_C - 1e-12),
-            math.ceil(4.0 * grid.spacing / softening - 1e-12),
-            1,
-        )
-    nodes, weight = flash_quadrature_grid(grid, params, refine)
-    pts = grid.points()                       # (M, dim) per-particle points
-    m = pts.shape[0]
+    nodes, weight = flash_quadrature_grid(grid, params, softening)
+    n_nodes, m = nodes.shape[0], grid.basis_size
+    # (F, M) as trajectories evaluate them; C-ordered (M, F) rows build v.
+    loc = collapse_factor(grid, nodes, params.r_C).reshape(n_nodes, m).T.copy()
+    profile = profile_shape(nodes, params, grid, softening)
+    profile = profile.reshape(n_nodes, m).T.copy()
     r_gm = params.r_G_matrix()
-    has_gravity = params.G != 0.0
-    prefactor = (np.pi * params.r_C**2) ** (-grid.dim / 4.0)
-
-    # Min-image distance from every grid point to every flash node: (M, F).
-    diff = grid.min_image(pts[:, None, :] - nodes[None, :, :])
-    dist = np.sqrt(np.sum(diff**2, axis=-1))
-    loc = prefactor * np.exp(-(dist**2) / (2.0 * params.r_C**2))
-    if has_gravity:
-        if params.smearing.kind == "sharp":
-            shape = softened_inverse_distance(dist, softening)
-        else:
-            shape = smeared_newton_potential(dist, params.smearing.width)
-
     tables = []
-    n_nodes = nodes.shape[0]
     for k in range(n):
-        v = None
+        # Tensor over particles: v[I, f] with I the joint C-order index.
+        v = np.ones((1, n_nodes), dtype=np.complex128)
         for l in range(n):
-            if l == k:
-                factor = loc.astype(np.complex128)
-                if has_gravity and r_gm[k, l] != 0.0:
-                    factor = factor * np.exp(1j * r_gm[k, l] * shape)
-            elif has_gravity and r_gm[k, l] != 0.0:
-                factor = np.exp(1j * r_gm[k, l] * shape)
-            else:
-                factor = np.ones((m, n_nodes), dtype=np.complex128)
-            # Tensor over particles: v[I, f] with I the joint C-order index.
-            v = factor if v is None else (
-                v[:, None, :] * factor[None, :, :]
-            ).reshape(-1, n_nodes)
+            factor = np.exp(1j * r_gm[k, l] * profile) * (loc if l == k else 1.0)
+            v = (v[:, None, :] * factor[None, :, :]).reshape(-1, n_nodes)
         tables.append(weight * (v[:m ** (n - 1)] @ v.conj().T))
     return tables
 

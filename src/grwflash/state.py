@@ -21,7 +21,6 @@ values, so sharing across workers is safe.
 
 from __future__ import annotations
 
-import io
 import math
 import struct
 import warnings
@@ -390,16 +389,21 @@ def save_state(psi: WaveFunction, path) -> None:
 
 
 def load_state(path) -> WaveFunction:
+    """Read a ``save_state`` file; one cut short is a ValueError naming it."""
     with open(path, "rb") as fh:
         data = fh.read()
-    buf = io.BytesIO(data)
-    if buf.read(4) != _MAGIC:
+    if data[:4] != _MAGIC:
         raise ValueError("not a grwflash state file")
-    version, dim, n_particles, n_points = struct.unpack("<IIII", buf.read(16))
-    if version != _FORMAT_VERSION:
-        raise ValueError(f"unsupported state format version {version}")
-    (spacing,) = struct.unpack("<d", buf.read(8))
-    origin = struct.unpack(f"<{dim}d", buf.read(8 * dim))
+    try:
+        version, dim, n_particles, n_points = struct.unpack_from("<IIII", data, 4)
+        if version != _FORMAT_VERSION:
+            raise ValueError(f"unsupported state format version {version}")
+        spacing, *origin = struct.unpack_from(f"<{1 + dim}d", data, 20)
+    except struct.error as exc:
+        raise ValueError(f"truncated state file {path}: {exc}") from exc
     grid = GridSpec(dim, n_points, spacing, origin)
-    amps = np.frombuffer(buf.read(), dtype="<c16").astype(np.complex128)
+    payload = data[20 + 8 * (1 + dim):]
+    if len(payload) < 16 * grid.basis_size**n_particles:
+        raise ValueError(f"truncated state file {path}: amplitudes cut short")
+    amps = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
     return WaveFunction(grid, n_particles, amps)

@@ -125,6 +125,54 @@ def test_cli_bad_config_is_usage_error(tmp_path, capsys):
     assert "lamda" in capsys.readouterr().err
 
 
+def test_cli_bad_integer_names_its_key(tmp_path, capsys):
+    path = write(tmp_path, MINIMAL.replace("n_points = 48", "n_points = abc"))
+    assert main(["--config", str(path), "trajectory"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [grid] n_points: ") and "'abc'" in err
+
+
+def test_cli_truncated_state_file_is_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL + "\n[trajectory]\ntotal_time = 1.5\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "trajectory"]) == 0
+    state = (out / "final_state.grws").read_bytes()
+    capsys.readouterr()
+    for cut in (10, 30):       # inside the version fields, then after them
+        (tmp_path / "cut.grws").write_bytes(state[:cut])
+        cut_cfg = write(tmp_path, MINIMAL + "\n[trajectory]\ntotal_time = 1.5\n"
+                        "state_file = cut.grws\n", name="cut.cfg")
+        rc = main(["--config", str(cut_cfg), "--out-dir", str(tmp_path / "again"),
+                   "trajectory"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated state file ")
+        assert "cut.grws" in err
+
+
+def test_cli_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch):
+    # an output appears whole or not at all, with the mode of a plain open
+    cfg = write(tmp_path, MINIMAL + "\n[trajectory]\ntotal_time = 1.5\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "trajectory"]) == 0
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    for name in ("flashes.csv", "manifest.json"):
+        assert (out / name).stat().st_mode == plain.stat().st_mode
+    before = sorted(p.name for p in out.iterdir())
+    manifest = (out / "manifest.json").read_bytes()
+
+    def failing_dump(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    with pytest.raises(RuntimeError, match="injected failure"):
+        main(["--config", str(cfg), "--out-dir", str(out), "trajectory"])
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
 def test_cli_negative_threads_is_usage_error(tmp_path, capsys):
     # rejected for every subcommand, not only those that start workers
     cfg = write(tmp_path, MINIMAL + "\n[ensemble]\nn_traj = 4\ntotal_time = 0.5\n")

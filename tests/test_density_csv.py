@@ -180,7 +180,7 @@ def test_failed_write_leaves_no_spill_file(tmp_path, monkeypatch):
     assert len(opened) == 2
     assert len(calls) == fail_after + 1
     assert all(fh.closed for fh in opened)
-    assert sorted(p.name for p in out.iterdir()) == ["density_matrix.csv"]
+    assert sorted(p.name for p in out.iterdir()) == []
 
 
 def test_cli_ensemble_leaves_only_its_outputs(tmp_path):

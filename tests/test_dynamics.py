@@ -526,12 +526,29 @@ def test_ensemble_requires_two_trajectories():
 # ------------------------------------------------------------ master equation
 
 def test_flash_quadrature_refuses_coarse_grid():
-    params = dimensionless_params(lam=1.0, r_G=0.0)
-    with pytest.raises(ValueError, match="under-resolved"):
-        flash_quadrature_grid(GRID, params, refine=0.5)
-    coarse = PhysicalParams(lam=1.0, r_C=0.1, G=0.0, hbar=1.0, masses=(1.0,))
-    nodes, w = flash_quadrature_grid(GRID, coarse)  # auto-refines
-    assert w <= coarse.r_C / 4
+    # the node step is the coarsest grid refinement at most r_C/4, and at
+    # most softening/4 under sharp gravity only; every grid point is a node
+    one_d, three_d = GridSpec(1, 6, 0.5, (-1.5,)), GridSpec(3, 4, 0.5, (-0.75,))
+    softening = 0.1
+    for grid, r_C, G, smearing, bound in [
+        (one_d, 0.1, 0.0, Smearing.sharp(), 0.1 / 4),
+        (one_d, 1.0, 0.0, Smearing.sharp(), 1.0 / 4),
+        (one_d, 1.0, 0.3, Smearing.gaussian(0.5), 1.0 / 4),
+        (one_d, 1.0, 0.3, Smearing.sharp(), softening / 4),
+        (one_d, 0.3, 0.3, Smearing.sharp(), softening / 4),
+        (three_d, 1.0, 0.3, Smearing.gaussian(0.5), 1.0 / 4),
+    ]:
+        params = PhysicalParams(lam=1.0, r_C=r_C, G=G, hbar=1.0, masses=(1.0,),
+                                smearing=smearing)
+        nodes, w = flash_quadrature_grid(grid, params, softening)
+        step = w ** (1 / grid.dim)
+        assert bound / 2 < step <= bound * (1 + 1e-12)
+        refine = round(grid.spacing / step)
+        assert nodes.shape == ((grid.n_points * refine) ** grid.dim, grid.dim)
+        on_grid = nodes.reshape((grid.n_points, refine) * grid.dim + (grid.dim,))
+        on_grid = on_grid[(slice(None), 0) * grid.dim]
+        assert np.allclose(on_grid.reshape(-1, grid.dim), grid.points(),
+                           rtol=0, atol=1e-12)
 
 
 def test_kernel_matrix_diagonal_and_hermiticity():
@@ -544,11 +561,7 @@ def test_kernel_matrix_diagonal_and_hermiticity():
 def _dense_factors(grid, params, softening):
     """Per k the full tensor factor v[I, f] = prod_l B_l(x_I, x_f), and w."""
     sharp = params.G != 0.0 and params.smearing.kind == "sharp"
-    refine = None
-    if sharp:
-        refine = max(math.ceil(4 * grid.spacing / params.r_C - 1e-12),
-                     math.ceil(4 * grid.spacing / softening - 1e-12), 1)
-    nodes, weight = flash_quadrature_grid(grid, params, refine)
+    nodes, weight = flash_quadrature_grid(grid, params, softening)
     pts = grid.points()
     dist = np.sqrt(np.sum(grid.min_image(pts[:, None] - nodes[None]) ** 2, axis=-1))
     loc = (np.pi * params.r_C**2) ** (-grid.dim / 4) * np.exp(
@@ -626,10 +639,26 @@ def test_kernel_tables_give_row_blocks_in_3d_with_two_particles():
             assert np.max(np.abs(got - dense_rows)) <= 1e-14 * np.max(np.abs(table))
 
 
+def test_sharp_3d_kernel_tables_hold_no_displacement_array():
+    # 32^3 flash nodes against 64 grid points: the per-particle factors take
+    # 16 MiB each, where an (M, F, 3) displacement array would take 48 MiB
+    grid = GridSpec(3, 4, 0.5, (-0.75,))
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0,))
+    tracemalloc.start()
+    try:
+        tables = _kernel_tables(grid, params, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tables[0].shape == (1, 64)
+    assert peak < 160 * 2**20
+
+
 def test_kernel_matrix_needs_softening_in_sharp_mode():
-    params = dimensionless_params(lam=1.0, r_G=0.3)
-    with pytest.raises(ValueError, match="softening"):
-        flash_kernel_matrices(GRID, params, softening=0.0)
+    for r_G in (0.3, 0.0):
+        params = dimensionless_params(lam=1.0, r_G=r_G)
+        with pytest.raises(ValueError, match="softening > 0 in sharp mode"):
+            flash_kernel_matrices(GRID, params, softening=0.0)
 
 
 def test_master_generator_unital_fixed_point():

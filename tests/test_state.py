@@ -282,6 +282,17 @@ def test_serialization_rejects_garbage(tmp_path):
         load_state(path)
 
 
+@pytest.mark.parametrize("cut", [4, 10, 20, 24, 30, 40, 41])
+def test_truncated_state_file_is_named(tmp_path, cut):
+    # cuts inside the version fields (4, 10), after them in the spacing and
+    # origin (20, 24, 30), and inside the amplitudes (40, 41)
+    path = tmp_path / "state.grws"
+    save_state(WaveFunction(grid1d(8, 0.5), 1, np.ones(8)), path)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="truncated state file .*state.grws"):
+        load_state(path)
+
+
 def test_boundary_mass_detects_edge_packet():
     grid = grid1d(64, 0.25)
     centered = make_gaussian_packet(grid, 1, [[0.0]], [1.0])
