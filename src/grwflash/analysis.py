@@ -9,15 +9,16 @@ flash-averaged coherence multiplier
                * exp(-((x-x_f)^2 + (y-x_f)^2) / (2 r_C^2)).
 
 In coordinates centered between the pair the integral depends only on the
-separation delta = |x-y| and eps = r_G/r_C, is axially symmetric (so it
-reduces to the (z, rho) half plane), and at r_G = 0 collapses to the
-closed form exp(-delta^2 / (4 r_C^2)).
+separation delta = |x-y| and eps = r_G/r_C, is axially symmetric, and at
+r_G = 0 collapses to the closed form exp(-delta^2 / (4 r_C^2)).  The phase
+dphi is odd in z (reflecting x_f through the midplane swaps the distances),
+so Gamma is real: only its even real part is integrated, over z >= 0.
 
 Two quadrature targets are exposed: the kernel itself (absolute accuracy)
-and the *deficit* Gamma_0 - Gamma, whose integrand 1 - exp(i dphi) is
-evaluated in the cancellation-free form 2 sin^2(dphi/2) - i sin(dphi).
-Rates differing from vanilla GRW by parts in 1e9 are only measurable
-through the deficit form.
+and the *deficit* Gamma_0 - Gamma, whose integrand 1 - cos(dphi) is
+evaluated only in the cancellation-free form 2 sin^2(dphi/2).  Rates
+differing from vanilla GRW by parts in 1e9 are only measurable through
+the deficit form.
 
 Evaluations cache on (separation, eps, tolerances): scans reuse thousands
 of identical points.  Values are deterministic, so concurrent last-writer-
@@ -50,7 +51,8 @@ class QuadratureSpec:
 
     ``domain_margin`` is the integration radius beyond the pair, in units
     of r_C; at least 6 is required so Gaussian truncation stays below the
-    error bounds quoted with the results.
+    error bounds quoted with the results.  ``max_evals`` caps the samples
+    actually drawn, all of them on the z >= 0 half.
     """
 
     rel_tol: float = 1e-7
@@ -108,18 +110,12 @@ def _kernel_integrand(eps: float, p: float, deficit: bool):
         # z and rho arrive on separate axes (see integrate_adaptive): each
         # Gaussian factor is computed on its own axis before they broadcast.
         w = (rho * np.exp(-(rho**2))) * np.exp(-(z**2))
-        if eps == 0.0:
-            dphi = np.zeros_like(z)
-        else:
-            a = np.sqrt(rho**2 + (z - p) ** 2)
-            b = np.sqrt(rho**2 + (z + p) ** 2)
-            # 1/a - 1/b written without cancellation: b^2-a^2 = 4 z p.
-            denom = np.maximum(a * b * (a + b), 1e-300)
-            dphi = eps * 4.0 * z * p / denom
-        if deficit:
-            g = 2.0 * np.sin(dphi / 2.0) ** 2 - 1j * np.sin(dphi)
-        else:
-            g = np.exp(1j * dphi)
+        a = np.sqrt(rho**2 + (z - p) ** 2)
+        b = np.sqrt(rho**2 + (z + p) ** 2)
+        # 1/a - 1/b written without cancellation: b^2-a^2 = 4 z p.
+        denom = np.maximum(a * b * (a + b), 1e-300)
+        dphi = eps * 4.0 * z * p / denom
+        g = 2.0 * np.sin(dphi / 2.0) ** 2 if deficit else np.cos(dphi)
         return pref * w * g
 
     return f
@@ -130,10 +126,12 @@ def _kernel_quadrature(
 ) -> tuple[complex, float, int]:
     """Normalized flash average for separation delta (units of r_C).
 
-    Returns the integral of exp(i dphi) (or 1 - exp(i dphi) in deficit
-    mode) against the Gaussian weight, its error bound, and the evaluation
-    count.  Cached on (delta, eps, deficit, spec): the whole spec, so a
-    tighter evaluation budget never reuses a result it could not reach.
+    Returns the integral of cos(dphi) (or 1 - cos(dphi) in deficit mode)
+    against the Gaussian weight, its error bound and the samples drawn: the
+    integrand is even in z, so it is twice the z >= 0 half, whose test at
+    half of abs_tol and of the truncation bound is the whole axis's.  Cached
+    on (delta, eps, deficit, spec): the whole spec, so a tighter evaluation
+    budget never reuses a result it could not reach.
     """
     key = (delta, eps, deficit, spec)
     hit = _kernel_cache.get(key)
@@ -143,16 +141,14 @@ def _kernel_quadrature(
     p = delta / 2.0
     margin = spec.domain_margin
     rz = p + margin
-    rrho = p + margin
     outer = 2.0 * max(1.0, p)
     s_min = max(min(max(eps, 1e-8), max(p, 1e-8), 0.25) / 8.0, 1e-9)
 
-    z_cuts = [-rz, rz, 0.0, -1.0, 1.0]
-    for c in (p, -p):
-        z_cuts.extend(geometric_cuts(c, s_min, outer))
-    z_cuts = [c for c in z_cuts if -rz <= c <= rz]
-    rho_cuts = [0.0, rrho, 1.0] + [
-        c for c in geometric_cuts(0.0, s_min, outer) if 0.0 <= c <= rrho
+    # The integrand is even in z: |c| folds the cuts toward -p onto z >= 0.
+    z_cuts = [abs(c) for c in [0.0, rz, 1.0] + geometric_cuts(p, s_min, outer)]
+    z_cuts = [c for c in z_cuts if c <= rz]
+    rho_cuts = [0.0, rz, 1.0] + [
+        c for c in geometric_cuts(0.0, s_min, outer) if 0.0 <= c <= rz
     ]
 
     trunc = (2.0 if deficit else 1.0) * gaussian_tail_mass(margin)
@@ -161,11 +157,11 @@ def _kernel_quadrature(
         z_cuts,
         rho_cuts,
         rel_tol=spec.rel_tol,
-        abs_tol=spec.abs_tol,
+        abs_tol=spec.abs_tol / 2.0,
         max_evals=spec.max_evals,
-        extra_error=trunc,
+        extra_error=trunc / 2.0,
     )
-    out = (res.value, res.error, res.n_evals)
+    out = (2.0 * res.value, 2.0 * res.error, res.n_evals)
     if len(_kernel_cache) >= KERNEL_CACHE_SIZE:
         del _kernel_cache[next(iter(_kernel_cache))]
     _kernel_cache[key] = out

@@ -538,6 +538,15 @@ def trace_distance_se(result: EnsembleResult) -> float:
     return float(np.mean(estimates))
 
 
+def _check_kernel_softening(params: PhysicalParams, softening: float) -> None:
+    """Refuse sharp mode without softening, even with G = 0."""
+    if params.smearing.kind == "sharp" and not softening > 0:
+        raise ValueError(
+            "master-side kernels need softening > 0 in sharp mode: the "
+            "phase is undefined on quadrature nodes hitting the flash"
+        )
+
+
 def flash_quadrature_grid(grid: GridSpec, params: PhysicalParams, softening: float):
     """Uniform flash-position nodes on the periodic box, and their weight.
 
@@ -545,15 +554,9 @@ def flash_quadrature_grid(grid: GridSpec, params: PhysicalParams, softening: flo
     r_C/4, and at most softening/4 under sharp gravity: the kick phase is
     analytic in a strip of half-width ``softening``, so the trapezoid error
     decays like exp(-2 pi softening / step).  Every grid point is a node.
-    Sharp mode needs softening > 0 even with G = 0: the kernels evaluate
-    the kick profile at every node.
     """
+    _check_kernel_softening(params, softening)
     sharp = params.smearing.kind == "sharp"
-    if sharp and not softening > 0:
-        raise ValueError(
-            "master-side kernels need softening > 0 in sharp mode: the "
-            "phase is undefined on quadrature nodes hitting the flash"
-        )
     length = min(params.r_C, softening) if sharp and params.G != 0 else params.r_C
     refine = max(1, math.ceil(4.0 * grid.spacing / length - 1e-12))
     fine = GridSpec(grid.dim, grid.n_points * refine, grid.spacing / refine,
@@ -830,13 +833,14 @@ def ensemble_vs_master_check(
     Passes when the distance is below 3x the estimated Monte Carlo standard
     error and that standard error is below ``se_limit``.  That estimate
     compares batches, so n_traj must exceed one batch of BATCH_SIZE; fewer
-    are refused before any work.
+    are refused before any work, as is a softening the kernels refuse.
     """
     if n_traj <= BATCH_SIZE:
         raise ValueError(
             f"verify needs more than {BATCH_SIZE} trajectories (got {n_traj}): "
             f"its noise estimate compares at least two batches of {BATCH_SIZE}"
         )
+    _check_kernel_softening(params, config.softening_for(psi0.grid))
     result = run_ensemble(psi0, params, config, n_traj, master_seed, workers=workers)
     # dt = T: a kinetic oracle starts from one step and doubles to tolerance
     oracle = master_evolve(pure_density(psi0), params, config, dt=config.total_time)

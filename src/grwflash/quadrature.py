@@ -1,9 +1,9 @@
 """Adaptive 2D quadrature with local error control.
 
 The kernel integrals this package needs are axially symmetric, so every 3D
-integral reduces to the (z, rho) half-plane.  The integrands are bounded but
-have unbounded phase gradients near isolated singular points, which calls
-for heavy local refinement over rectangular patches.
+integral reduces to the (z, rho) half-plane, and the decoherence kernel,
+even in z, to z >= 0.  Bounded integrands with unbounded phase gradients
+near isolated singular points call for heavy local refinement in patches.
 
 Each patch is evaluated with a tensor Gauss-Kronrod 15x15 rule (QUADPACK's
 qk15 pair, Piessens et al. 1983).  The Gauss 7-point nodes are the odd

@@ -24,6 +24,7 @@ from grwflash.analysis import (
     smeared_potential_quadrature,
 )
 from grwflash.gravity import smeared_newton_potential
+from grwflash.quadrature import gaussian_tail_mass, geometric_cuts, integrate_adaptive
 from grwflash.units import dimensionless_params
 
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-11)
@@ -154,6 +155,65 @@ def test_deficit_zero_cases():
     assert gamma_deficit(0.5, params).value == 0.0
     params = dimensionless_params(lam=1.0, r_G=0.1)
     assert gamma_deficit(0.0, params).value == 0.0
+
+
+def _whole_axis_quadrature(delta, eps, spec, deficit):
+    """The complex integrand exp(i dphi) (or 1 - exp(i dphi)) over the whole
+    z axis, on the kernel's cuts mirrored to z < 0: the reference for the
+    fold onto z >= 0, which assumes that dphi is odd in z."""
+    p = delta / 2.0
+    rz = p + spec.domain_margin
+    outer = 2.0 * max(1.0, p)
+    s_min = max(min(max(eps, 1e-8), max(p, 1e-8), 0.25) / 8.0, 1e-9)
+    half = [c for c in [0.0, rz, 1.0] + geometric_cuts(p, s_min, outer)
+            if abs(c) <= rz]
+    rho_cuts = [0.0, rz, 1.0] + [
+        c for c in geometric_cuts(0.0, s_min, outer) if 0.0 <= c <= rz
+    ]
+
+    def f(z, rho):
+        w = (rho * np.exp(-(rho**2))) * np.exp(-(z**2))
+        a = np.sqrt(rho**2 + (z - p) ** 2)
+        b = np.sqrt(rho**2 + (z + p) ** 2)
+        dphi = eps * 4.0 * z * p / np.maximum(a * b * (a + b), 1e-300)
+        if deficit:
+            g = 2.0 * np.sin(dphi / 2.0) ** 2 - 1j * np.sin(dphi)
+        else:
+            g = np.exp(1j * dphi)
+        return 2.0 / np.sqrt(np.pi) * w * g
+
+    return integrate_adaptive(
+        f, half + [-c for c in half], rho_cuts,
+        rel_tol=spec.rel_tol, abs_tol=spec.abs_tol, max_evals=spec.max_evals,
+        extra_error=(2.0 if deficit else 1.0) * gaussian_tail_mass(spec.domain_margin),
+    )
+
+
+@pytest.mark.parametrize("delta, eps, deficit, spec", [
+    (0.3, 1e-3, False, QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7)),
+    (2.9, 1e-3, False, QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7)),
+    (0.3, 1e-1, False, QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7)),
+    (1.5, 1e-1, False, QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7)),
+    (0.7, 1e-1, True, QuadratureSpec(rel_tol=1e-5, abs_tol=1e-30)),
+])
+def test_folded_kernel_matches_whole_axis_integral(delta, eps, deficit, spec):
+    # Measured, not assumed: over the whole axis the imaginary part is zero
+    # within its bound, and the real part is the folded result.
+    full = _whole_axis_quadrature(delta, eps, spec, deficit)
+    value, err, _ = analysis._kernel_quadrature(delta, eps, spec, deficit)
+    assert value.imag == 0.0
+    assert abs(full.value.imag) <= full.error
+    assert abs(full.value.real - value.real) <= full.error + err
+
+
+def test_large_eps_deficit_converges_within_default_budget():
+    # at eps = 100 the whole-axis complex integral ran out of the 6 M
+    # budget (bound 6.5e-5 against 1.0e-5); the real, folded one does not
+    spec = QuadratureSpec(rel_tol=1e-5, abs_tol=1e-30)
+    value, err, n = analysis._kernel_quadrature(0.1, 100.0, spec, deficit=True)
+    assert n <= QuadratureSpec().max_evals
+    assert err <= spec.rel_tol * abs(value)
+    assert value.real == pytest.approx(1.0, abs=0.01)
 
 
 def test_short_distance_slope_is_twice_the_reference():

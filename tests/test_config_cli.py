@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import grwflash
+from grwflash import dynamics
 from grwflash.cli import main
 from grwflash.config import (
     ConfigError,
@@ -293,6 +294,26 @@ def test_cli_verify_refuses_fewer_than_two_batches(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out-dir", str(out), "verify"]) == 2
     # refused up front, not by the noise estimate after the whole run
     assert f"more than {BATCH_SIZE} trajectories" in capsys.readouterr().err
+    assert not (out / "verify_report.json").exists()
+
+
+def test_cli_verify_refuses_zero_softening_before_any_trajectory(
+    tmp_path, capsys, monkeypatch
+):
+    # sharp smearing with G = 0: the trajectories need no softening, but the
+    # oracle's kernels do, so verify must refuse before the ensemble runs
+    def no_trajectories(*args, **kwargs):
+        raise AssertionError("verify ran the ensemble before refusing")
+
+    monkeypatch.setattr(dynamics, "run_ensemble", no_trajectories)
+    cfg = write(
+        tmp_path,
+        "[params]\nlambda = 1.0\n\n[grid]\nn_points = 32\nspacing = 0.3\n"
+        "\n[verify]\nn_traj = 128\nsoftening = 0.0\n",
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "verify"]) == 2
+    assert "softening > 0 in sharp mode" in capsys.readouterr().err
     assert not (out / "verify_report.json").exists()
 
 
