@@ -33,10 +33,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gravity import smeared_newton_gradient, smeared_newton_potential
-from .quadrature import (
+# integrate_adaptive is not called here, but perfbench/layers.py rebinds it
+# by the name grwflash.analysis.integrate_adaptive.
+from .quadrature import (  # noqa: F401
     gaussian_tail_mass,
-    geometric_cuts,
+    graded_patches,
     integrate_adaptive,
+    integrate_patches,
 )
 from .units import PhysicalParams
 
@@ -107,7 +110,7 @@ def _kernel_integrand(eps: float, p: float, deficit: bool):
     pref = 2.0 / np.sqrt(np.pi)
 
     def f(z, rho):
-        # z and rho arrive on separate axes (see integrate_adaptive): each
+        # z and rho arrive on separate axes (see integrate_patches): each
         # Gaussian factor is computed on its own axis before they broadcast.
         w = (rho * np.exp(-(rho**2))) * np.exp(-(z**2))
         a = np.sqrt(rho**2 + (z - p) ** 2)
@@ -129,8 +132,12 @@ def _kernel_quadrature(
     Returns the integral of cos(dphi) (or 1 - cos(dphi) in deficit mode)
     against the Gaussian weight, its error bound and the samples drawn: the
     integrand is even in z, so it is twice the z >= 0 half, whose test at
-    half of abs_tol and of the truncation bound is the whole axis's.  Cached
-    on (delta, eps, deficit, spec): the whole spec, so a tighter evaluation
+    half of abs_tol and of the truncation bound is the whole axis's.  The
+    phase is singular at (z, rho) = (p, 0): the initial patches are square
+    half-rings around it (`graded_patches`), from side s_min (1/8 of the
+    smallest of eps, p and 1/4) up to the scale outer = 2 max(1, p), and
+    the tensor cells of the cuts 0, 1, outer and r_z beyond.  Cached on
+    (delta, eps, deficit, spec): the whole spec, so a tighter evaluation
     budget never reuses a result it could not reach.
     """
     key = (delta, eps, deficit, spec)
@@ -143,19 +150,11 @@ def _kernel_quadrature(
     rz = p + margin
     outer = 2.0 * max(1.0, p)
     s_min = max(min(max(eps, 1e-8), max(p, 1e-8), 0.25) / 8.0, 1e-9)
-
-    # The integrand is even in z: |c| folds the cuts toward -p onto z >= 0.
-    z_cuts = [abs(c) for c in [0.0, rz, 1.0] + geometric_cuts(p, s_min, outer)]
-    z_cuts = [c for c in z_cuts if c <= rz]
-    rho_cuts = [0.0, rz, 1.0] + [
-        c for c in geometric_cuts(0.0, s_min, outer) if 0.0 <= c <= rz
-    ]
-
+    coarse = [0.0, 1.0, min(outer, rz), rz]
     trunc = (2.0 if deficit else 1.0) * gaussian_tail_mass(margin)
-    res = integrate_adaptive(
+    res = integrate_patches(
         _kernel_integrand(eps, p, deficit),
-        z_cuts,
-        rho_cuts,
+        graded_patches((p, 0.0), s_min, outer, coarse, coarse),
         rel_tol=spec.rel_tol,
         abs_tol=spec.abs_tol / 2.0,
         max_evals=spec.max_evals,
@@ -412,23 +411,20 @@ def smeared_potential_quadrature(
 ) -> tuple[float, float]:
     """Gaussian-smoothed 1/r at distance d by direct 3D quadrature.
 
-    Independent of the erf closed form; used to cross-check it.  Returns
-    (value, error bound).
+    Independent of the erf closed form; used to cross-check it.  The
+    initial patches are half-rings graded from side 1e-6 r_C toward the
+    1/r point (d, 0) of the (z, rho) half-plane, and the tensor cells of
+    the cuts z = -1, 0, 1 and rho = 1 beyond 2 r_C.  Returns (value, error
+    bound).
     """
     if d < 0:
         raise ValueError("distance must be nonnegative")
     dd = d / r_C
     rz = dd + margin
-    s_min = 1e-6
-    z_cuts = [-margin, rz, 0.0, -1.0, 1.0] + [
-        c for c in geometric_cuts(dd, s_min, 2.0) if -margin <= c <= rz
-    ]
-    rho_cuts = [0.0, margin + dd, 1.0] + geometric_cuts(0.0, s_min, 2.0)
-    rho_cuts = [c for c in rho_cuts if 0.0 <= c <= margin + dd]
-    res = integrate_adaptive(
+    res = integrate_patches(
         _potential_integrand(dd),
-        z_cuts,
-        rho_cuts,
+        graded_patches((dd, 0.0), 1e-6, 2.0, [-margin, -1.0, 0.0, 1.0, rz],
+                       [0.0, 1.0, rz]),
         rel_tol=rel_tol,
         abs_tol=1e-30,
         max_evals=4_000_000,

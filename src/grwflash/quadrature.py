@@ -12,6 +12,13 @@ Kronrod nodes, so the tensor G7 value reuses the same 225 samples and
 so integrable singular points placed on patch corners or edges are never
 sampled.
 
+The initial patches toward a singular point are graded, not a tensor
+ladder: `graded_patches` surrounds the point with square rings whose radii
+grow by 4, four patches to a ring.  The mesh holds O(log(outer/inner))
+patches, where cuts at the same radii would make O(log^2) cells, most of
+them full-width strips far from the point.  `integrate_adaptive` starts
+from the tensor cells between given cuts.
+
 Patches live in flat arrays and are refined in rounds (vectorized h-adaptive
 bisection, Berntsen, Espelid & Genz 1991): the worst patches are bisected
 until the unsplit rest carries at most half the tolerance, and all children
@@ -53,6 +60,7 @@ _TENSOR_WEIGHTS = np.stack([np.outer(_W15, _W15).ravel(),
                             np.outer(_W7, _W7).ravel()], axis=1)
 _POINTS_PER_PATCH = 15 * 15
 _CHUNK = 64  # patches per integrand call; bounds the sample block's memory
+_RATIO = 4.0  # scale ratio of successive rings in graded_patches
 
 
 class QuadratureError(RuntimeError):
@@ -94,46 +102,70 @@ def _split(boxes):
     return low, high
 
 
-def geometric_cuts(center: float, inner: float, outer: float, ratio: float = 4.0):
-    """Cut positions center +- inner*ratio^j for refinement toward a point."""
-    cuts = []
-    s = inner
-    while s < outer:
-        cuts.extend([center - s, center + s])
-        s *= ratio
-    cuts.append(center)
-    return cuts
+def graded_patches(point, inner: float, outer: float, x_cuts, y_cuts):
+    """Initial patches graded toward ``point`` in the box the cuts span.
+
+    Square rings around the point have radii inner * 4^j, up to the first
+    radius S with 4 S >= outer.  Each ring is cut into four patches: the
+    columns left and right of its hole, and the pieces above and below it.
+    The innermost square has no hole, so the point lies on an edge of its
+    patches and is never sampled.  Outside the square of radius S the
+    patches are the tensor cells of the coarse cuts and the square's sides.
+    Every patch is clipped to the box and empty ones are dropped, so the
+    patches tile the box and a point on its edge gets half-rings.  Returns
+    rows (x0, x1, y0, y1).
+    """
+    if not (inner > 0.0 and math.isfinite(outer)):
+        raise ValueError("need inner > 0 and a finite outer scale")
+    # A few dozen patches: plain lists build them faster than numpy calls.
+    xs = sorted({float(c) for c in x_cuts})
+    ys = sorted({float(c) for c in y_cuts})
+    if len(xs) < 2 or len(ys) < 2:
+        raise ValueError("need at least two distinct cuts per axis")
+    px, py = float(point[0]), float(point[1])
+    patches = []
+    hole, r = 0.0, inner
+    while True:
+        patches += [[px - r, px - hole, py - r, py + r],
+                    [px + hole, px + r, py - r, py + r],
+                    [px - hole, px + hole, py + hole, py + r],
+                    [px - hole, px + hole, py - r, py - hole]]
+        if _RATIO * r >= outer:
+            break
+        hole, r = r, _RATIO * r
+    gx = sorted({*xs, px - r, px + r})
+    gy = sorted({*ys, py - r, py + r})
+    patches += [[x0, x1, y0, y1]
+                for x0, x1 in zip(gx, gx[1:]) for y0, y1 in zip(gy, gy[1:])
+                if abs(0.5 * (x0 + x1) - px) > r or abs(0.5 * (y0 + y1) - py) > r]
+    boxes = np.array(patches)
+    boxes[:, :2] = np.clip(boxes[:, :2], xs[0], xs[-1])
+    boxes[:, 2:] = np.clip(boxes[:, 2:], ys[0], ys[-1])
+    return boxes[(boxes[:, 1] > boxes[:, 0]) & (boxes[:, 3] > boxes[:, 2])]
 
 
-def integrate_adaptive(
+def integrate_patches(
     f,
-    x_cuts,
-    y_cuts,
+    patches,
     rel_tol: float = 1e-6,
     abs_tol: float = 1e-12,
     max_evals: int = 3_000_000,
     extra_error: float = 0.0,
 ):
-    """Integrate f over the box spanned by the outermost cuts.
+    """Integrate f over the union of the initial patches, refining adaptively.
 
     ``f(x, y)`` is elementwise and must accept broadcastable arrays: it is
     called with x of shape (P, 15, 1) and y of shape (P, 1, 15) for a chunk
     of P patches, and its result is broadcast to (P, 15, 15).
 
-    ``x_cuts``/``y_cuts`` give the initial patch boundaries (duplicates are
-    dropped); singular points should sit on cut lines.  ``extra_error`` is
-    added to the reported bound (domain truncation).  At most ``max_evals``
-    points are sampled; raises QuadratureError if the bound cannot be pushed
-    below max(abs_tol, rel_tol * |value|) within that budget.
+    ``patches`` holds rows (x0, x1, y0, y1) that tile the domain without
+    overlap; singular points should sit on patch corners or edges.
+    ``extra_error`` is added to the reported bound (domain truncation).  At
+    most ``max_evals`` points are sampled; raises QuadratureError if the
+    bound cannot be pushed below max(abs_tol, rel_tol * |value|) within that
+    budget.
     """
-    xs = np.unique(np.asarray(x_cuts, dtype=float))
-    ys = np.unique(np.asarray(y_cuts, dtype=float))
-    if len(xs) < 2 or len(ys) < 2:
-        raise ValueError("need at least two distinct cuts per axis")
-
-    nx, ny = len(xs) - 1, len(ys) - 1
-    boxes = np.stack([np.repeat(xs[:-1], ny), np.repeat(xs[1:], ny),
-                      np.tile(ys[:-1], nx), np.tile(ys[1:], nx)], axis=1)
+    boxes = np.array(patches, dtype=float).reshape(-1, 4)
     n_evals = len(boxes) * _POINTS_PER_PATCH
     if n_evals > max_evals:
         raise QuadratureError(
@@ -176,6 +208,32 @@ def integrate_adaptive(
         n_evals=n_evals,
         n_patches=len(boxes),
     )
+
+
+def integrate_adaptive(
+    f,
+    x_cuts,
+    y_cuts,
+    rel_tol: float = 1e-6,
+    abs_tol: float = 1e-12,
+    max_evals: int = 3_000_000,
+    extra_error: float = 0.0,
+):
+    """Integrate f over the box spanned by the outermost cuts.
+
+    The initial patches are the tensor cells between ``x_cuts`` and
+    ``y_cuts`` (duplicates are dropped); singular points should sit on cut
+    lines.  The other arguments are those of `integrate_patches`.
+    """
+    xs = np.unique(np.asarray(x_cuts, dtype=float))
+    ys = np.unique(np.asarray(y_cuts, dtype=float))
+    if len(xs) < 2 or len(ys) < 2:
+        raise ValueError("need at least two distinct cuts per axis")
+    nx, ny = len(xs) - 1, len(ys) - 1
+    boxes = np.stack([np.repeat(xs[:-1], ny), np.repeat(xs[1:], ny),
+                      np.tile(ys[:-1], nx), np.tile(ys[1:], nx)], axis=1)
+    return integrate_patches(f, boxes, rel_tol=rel_tol, abs_tol=abs_tol,
+                             max_evals=max_evals, extra_error=extra_error)
 
 
 def gaussian_tail_mass(radius: float) -> float:

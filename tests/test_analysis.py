@@ -24,7 +24,7 @@ from grwflash.analysis import (
     smeared_potential_quadrature,
 )
 from grwflash.gravity import smeared_newton_potential
-from grwflash.quadrature import gaussian_tail_mass, geometric_cuts, integrate_adaptive
+from grwflash.quadrature import gaussian_tail_mass, integrate_adaptive
 from grwflash.units import dimensionless_params
 
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-11)
@@ -66,7 +66,7 @@ def test_kernel_cache_keeps_the_evaluation_budget():
 
     analysis.clear_kernel_cache()
     params = dimensionless_params(r_G=0.1)
-    tight = QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7, max_evals=20_000)
+    tight = QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7, max_evals=8_000)
     with pytest.raises(QuadratureError):
         gamma_at_separation(1.5, params, tight)
     full = gamma_at_separation(1.5, params, QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7))
@@ -157,18 +157,29 @@ def test_deficit_zero_cases():
     assert gamma_deficit(0.0, params).value == 0.0
 
 
+def _geometric_cuts(center, inner, outer):
+    """Cut positions center +- inner*4^j (inner*4^j < outer) and center."""
+    cuts = [center]
+    s = inner
+    while s < outer:
+        cuts.extend([center - s, center + s])
+        s *= 4.0
+    return cuts
+
+
 def _whole_axis_quadrature(delta, eps, spec, deficit):
     """The complex integrand exp(i dphi) (or 1 - exp(i dphi)) over the whole
-    z axis, on the kernel's cuts mirrored to z < 0: the reference for the
-    fold onto z >= 0, which assumes that dphi is odd in z."""
+    z axis, on tensor cuts refined toward both singular points z = +-p: the
+    reference for the fold onto z >= 0, which assumes that dphi is odd in z.
+    Its cuts are its own, not the kernel's graded patches."""
     p = delta / 2.0
     rz = p + spec.domain_margin
     outer = 2.0 * max(1.0, p)
     s_min = max(min(max(eps, 1e-8), max(p, 1e-8), 0.25) / 8.0, 1e-9)
-    half = [c for c in [0.0, rz, 1.0] + geometric_cuts(p, s_min, outer)
+    half = [c for c in [0.0, rz, 1.0] + _geometric_cuts(p, s_min, outer)
             if abs(c) <= rz]
     rho_cuts = [0.0, rz, 1.0] + [
-        c for c in geometric_cuts(0.0, s_min, outer) if 0.0 <= c <= rz
+        c for c in _geometric_cuts(0.0, s_min, outer) if 0.0 <= c <= rz
     ]
 
     def f(z, rho):
@@ -214,6 +225,14 @@ def test_large_eps_deficit_converges_within_default_budget():
     assert n <= QuadratureSpec().max_evals
     assert err <= spec.rel_tol * abs(value)
     assert value.real == pytest.approx(1.0, abs=0.01)
+
+
+def test_kernel_quadrature_grades_its_initial_patches():
+    # full-width geometric strips drew 26,550 samples here; rings graded
+    # toward the singular point (p, 0) draw about a third of that
+    spec = QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7)
+    _, _, n = analysis._kernel_quadrature(1.5, 0.1, spec, False)
+    assert n <= 12_000
 
 
 def test_short_distance_slope_is_twice_the_reference():

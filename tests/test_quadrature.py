@@ -8,8 +8,9 @@ from scipy.special import erf, erfc
 from grwflash.quadrature import (
     QuadratureError,
     gaussian_tail_mass,
-    geometric_cuts,
+    graded_patches,
     integrate_adaptive,
+    integrate_patches,
 )
 
 
@@ -120,18 +121,72 @@ def test_complex_integrand():
 
 
 def test_integrable_corner_singularity():
-    # 1/sqrt(x*y) is integrable; singular corner sits on patch boundaries
-    cuts = [c for c in geometric_cuts(0.0, 1e-12, 1.0) if c >= 0.0] + [1.0]
-    res = integrate_adaptive(
-        lambda x, y: 1.0 / np.sqrt(x * y),
-        cuts,
-        cuts,
+    # 1/|(x, y)| is integrable; the singular corner is a corner of the
+    # graded mesh's innermost patch, so it is never sampled
+    res = integrate_patches(
+        lambda x, y: 1.0 / np.sqrt(x**2 + y**2),
+        graded_patches((0.0, 0.0), 1e-12, 1.0, [0.0, 1.0], [0.0, 1.0]),
         rel_tol=1e-6,
         abs_tol=1e-10,
         max_evals=20_000_000,
     )
-    assert res.value.real == pytest.approx(4.0, rel=1e-6)
-    assert abs(res.value.real - 4.0) <= res.error
+    exact = 2.0 * math.asinh(1.0)
+    assert res.value.real == pytest.approx(exact, rel=1e-6)
+    assert abs(res.value.real - exact) <= res.error
+
+
+def _check_tiling(patches, point, x_cuts, y_cuts):
+    """The patches lie in the cuts' box, cover its area without overlap, and
+    hold the point in none of their interiors."""
+    x0, x1, y0, y1 = patches.T
+    (a, b), (c, d) = (min(x_cuts), max(x_cuts)), (min(y_cuts), max(y_cuts))
+    assert np.all((x0 >= a) & (x1 <= b) & (y0 >= c) & (y1 <= d))
+    assert np.all((x1 > x0) & (y1 > y0))
+    assert np.sum((x1 - x0) * (y1 - y0)) == pytest.approx((b - a) * (d - c), rel=1e-12)
+    wx = np.minimum(x1[:, None], x1) - np.maximum(x0[:, None], x0)
+    wy = np.minimum(y1[:, None], y1) - np.maximum(y0[:, None], y0)
+    overlap = (wx > 0) & (wy > 0)
+    assert not np.any(overlap[~np.eye(len(patches), dtype=bool)])
+    px, py = point
+    assert not np.any((x0 < px) & (px < x1) & (y0 < py) & (py < y1))
+
+
+@given(
+    point=st.tuples(st.floats(-1.0, 3.0), st.floats(-1.0, 3.0)),
+    inner=st.floats(1e-6, 0.5),
+    outer=st.floats(0.1, 4.0),
+    x_cuts=st.lists(st.floats(-0.5, 2.5), min_size=2, max_size=5, unique=True),
+    y_cuts=st.lists(st.floats(-0.5, 2.5), min_size=2, max_size=5, unique=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_graded_patches_tile_the_box(point, inner, outer, x_cuts, y_cuts):
+    patches = graded_patches(point, inner, outer, x_cuts, y_cuts)
+    _check_tiling(patches, point, x_cuts, y_cuts)
+
+
+@pytest.mark.parametrize("point, inner, outer, x_cuts, y_cuts", [
+    # the kernel's half-plane: z in [0, r_z], rho in [0, r_z], point (p, 0)
+    ((0.75, 0.0), 0.1 / 8, 2.0, [0.0, 1.0, 7.75], [0.0, 1.0, 7.75]),
+    # clipped at z = 0: p < 4 inner, so every ring but the first is cut
+    ((0.02, 0.0), 0.01, 2.0, [0.0, 1.0, 7.02], [0.0, 1.0, 7.02]),
+    # the potential's two-sided domain z in [-7, d + 7]
+    ((0.5, 0.0), 1e-6, 2.0, [-7.0, -1.0, 0.0, 1.0, 7.5], [0.0, 1.0, 7.5]),
+    ((0.0, 0.0), 1e-6, 2.0, [-7.0, -1.0, 0.0, 1.0, 7.0], [0.0, 1.0, 7.0]),
+])
+def test_graded_patches_refine_toward_the_point(point, inner, outer, x_cuts, y_cuts):
+    patches = graded_patches(point, inner, outer, x_cuts, y_cuts)
+    _check_tiling(patches, point, x_cuts, y_cuts)
+    x0, x1, y0, y1 = patches.T
+    px, py = point
+    # the innermost patches are squares of side inner with the point on
+    # their lower edge, and no patch is smaller
+    touching = (x0 <= px) & (px <= x1) & (y0 == py)
+    assert np.allclose(x1[touching] - x0[touching], inner, rtol=1e-12)
+    assert np.allclose(y1[touching] - y0[touching], inner, rtol=1e-12)
+    assert np.min(x1 - x0) == pytest.approx(inner, rel=1e-9)
+    # one ring of at most four patches per scale, not a strip per cut
+    rings = math.ceil(math.log(outer / inner, 4.0))
+    assert len(patches) <= 4 * rings + (len(x_cuts) + 1) * (len(y_cuts) + 1)
 
 
 def test_error_budget_exhaustion_raises():
@@ -180,13 +235,6 @@ def test_extra_error_included_in_bound():
     assert res.error >= 1e-4
 
 
-def test_geometric_cuts_cover_scales():
-    cuts = geometric_cuts(0.5, 1e-4, 1.0)
-    arr = np.array(sorted(cuts))
-    assert 0.5 in cuts
-    assert np.min(np.abs(arr - 0.5)[np.abs(arr - 0.5) > 0]) == pytest.approx(1e-4)
-
-
 def test_gaussian_tail_mass_matches_quadrature():
     from scipy import integrate as si
 
@@ -205,6 +253,14 @@ def test_gaussian_tail_mass_matches_scipy_erfc_formula():
         assert gaussian_tail_mass(r) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
+def test_graded_patches_need_finite_scales():
+    for inner, outer in [(0.0, 1.0), (-1e-3, 1.0), (math.nan, 1.0), (1e-3, math.inf)]:
+        with pytest.raises(ValueError):
+            graded_patches((0.0, 0.0), inner, outer, [0.0, 1.0], [0.0, 1.0])
+
+
 def test_needs_two_cuts():
     with pytest.raises(ValueError):
         integrate_adaptive(lambda x, y: x, [0.0], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        graded_patches((0.0, 0.0), 1e-3, 1.0, [0.0, 1.0], [1.0, 1.0])
