@@ -9,7 +9,7 @@ the repr of a Python int or float.  ``density_matrix.csv`` has b^2 rows
 ``i,j,re,im,std_error`` in i-major order; its writer formats each
 Hermitian pair once and spills the mirror lines to anonymous temporary
 files in the output directory (at most about a quarter of the CSV's size
-at once).  Every CSV and JSON output is written under a temporary name and
+at once).  Every output file is written under a temporary name and
 renamed into place when complete, so a failed write leaves no partial file.
 Exit codes: 0 success, 1 physics-check failure (verify), 2 usage,
 configuration or output-directory error.
@@ -54,16 +54,16 @@ ENV_OUT_DIR = "GRWFLASH_OUT_DIR"
 
 
 @contextlib.contextmanager
-def _whole_file(path):
-    """Open a text file that appears at ``path`` whole or not at all.
+def _whole_file(path, mode="x"):
+    """Open a file that appears at ``path`` whole or not at all.
 
     It is written under a temporary name beside ``path``, renamed over it
-    once closed and removed on any exception.  Exclusive creation gives it
-    the mode a plain ``open`` gives.
+    once closed and removed on any exception.  Exclusive creation ("x" for
+    text, "xb" for bytes) gives it the mode a plain ``open`` gives.
     """
     directory, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x")
+    fh = open(tmp, mode)
     try:
         with fh:
             yield fh
@@ -238,7 +238,6 @@ def _evolution_config(section: dict) -> EvolutionConfig:
     return EvolutionConfig(
         total_time=section["total_time"],
         hamiltonian=section.get("hamiltonian", "none"),
-        snapshot_times=tuple(section.get("snapshot_times") or ()),
         softening=section.get("softening"),
     )
 
@@ -256,7 +255,8 @@ def _cmd_trajectory(config, args, out_dir):
                ["time", "particle"] + ["x", "y", "z"][:config.grid.dim],
                [(f.time, f.particle, *f.position) for f in traj.flashes],
                sec["master_seed"])
-    save_state(traj.final_state, state_path)
+    with _whole_file(state_path, "xb") as fh:
+        save_state(traj.final_state, fh)
     _write_manifest(out_dir, config, args, [flash_path, state_path],
                     master_seed=sec["master_seed"], n_traj=1)
     print(f"trajectory seed={sec['seed']}: {len(traj.flashes)} flashes, "

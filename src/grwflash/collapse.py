@@ -97,11 +97,8 @@ def apply_collapse(psi: WaveFunction, k: int, x_f, r_C: float) -> WaveFunction:
     grid = psi.grid
     if x_f.shape != (grid.dim,):
         raise ValueError(f"flash position must have {grid.dim} components")
-    factor = collapse_factor(grid, x_f, r_C)
-    full_shape = [1] * psi.amplitudes.ndim
-    for a in psi.particle_axes(k):
-        full_shape[a] = grid.n_points
-    return psi.with_amplitudes(psi.amplitudes * factor.reshape(full_shape))
+    factor = grid.on_particle(collapse_factor(grid, x_f, r_C), k, psi.n_particles)
+    return psi.with_amplitudes(psi.amplitudes * factor)
 
 
 def flash_position_density(psi: WaveFunction, k: int, r_C: float) -> np.ndarray:

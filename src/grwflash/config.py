@@ -79,7 +79,6 @@ SCHEMA = {
     },
     "trajectory": {
         "seed": ("int", 0),
-        "snapshot_times": ("float_list", ()),
         **_RUN_KEYS, **_FLIGHT_KEYS, **_PACKET_KEYS,
     },
     "ensemble": {

@@ -147,9 +147,8 @@ def _kinetic_energies(grid: GridSpec, params: PhysicalParams):
     for p, mass in enumerate(params.masses):
         per_axis = params.hbar * k2 / (2.0 * mass)
         for a in range(grid.dim):
-            view = [1] * energies.ndim
-            view[p * grid.dim + a] = grid.n_points
-            energies = energies + per_axis.reshape(view)
+            view = per_axis.reshape((1,) * a + (-1,) + (1,) * (grid.dim - 1 - a))
+            energies = energies + grid.on_particle(view, p, params.n_particles)
     return energies
 
 
@@ -191,21 +190,21 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
     ``sample_flash_position`` does: the single uniform that
     ``Generator.choice(p=...)`` consumes, turned into a node by the same
     cdf and right-sided search, then the Gaussian offset, the sum wrapped
-    onto the box by ``GridSpec.wrap``.  Collapse, normalization, kick
-    and free flight are one numpy call over all running rows, with the same
-    elementwise operations as the single-state primitives, so each row is
-    bitwise the trajectory it would be alone.
+    onto the box by ``GridSpec.wrap``.  The Born marginal and the collapse
+    take one numpy call per particle, over the rows it flashes; the
+    normalization, kick and free flight one call over all the rows they
+    move.  All use the same elementwise operations as the single-state
+    primitives, so each row is bitwise the trajectory it would be alone.
 
     Returns the final amplitudes (len(seeds), *joint_shape), the flash
     counts and, with ``record``, per-row flash logs and snapshots.
     """
     _check_start(psi0, params)
     grid, n = psi0.grid, params.n_particles
-    dim, m = grid.dim, grid.n_points
+    dim = grid.dim
     joint = grid.joint_shape(n)
     space = tuple(range(1, len(joint) + 1))       # the state axes of a row
     column = (-1,) + (1,) * len(joint)            # one value per row
-    cell = (m,) * dim
 
     energies = (
         None if config.hamiltonian == "none" else _kinetic_energies(grid, params)
@@ -230,24 +229,12 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
     amps = np.repeat(psi0.amplitudes[None], len(seeds), axis=0)
     t = np.zeros(len(seeds))
 
-    def spread(p):
-        """View that lays a per-row particle-grid array on particle p's axes."""
-        view = [-1] + [1] * len(joint)
-        view[1 + p * dim:1 + (p + 1) * dim] = cell
-        return view
-
     def fly(at, stop):
         """Free flight of rows ``at`` from their times to ``stop``."""
-        nonlocal amps
         if energies is not None:
-            whole = at.size == rows.size
-            sub = amps if whole else amps[at]
             phase = np.exp(-1j * (stop - t[at]).reshape(column) * energies)
-            sub = np.fft.ifftn(np.fft.fftn(sub, axes=space) * phase, axes=space)
-            if whole:
-                amps = sub
-            else:
-                amps[at] = sub
+            spectral = np.fft.fftn(amps[at], axes=space) * phase
+            amps[at] = np.fft.ifftn(spectral, axes=space)
         t[at] = stop
 
     while rows.size:
@@ -284,14 +271,10 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
             nodes = grid.points()
         # Flash positions: per-row Born cdf of the flashing particle.
         prob = np.abs(amps) ** 2
-        if n == 1:
-            dens = prob
-        else:
-            dens = np.empty((rows.size,) + cell)
-            for p in range(n):
-                mine = k == p
-                other = tuple(1 + a for a in range(len(joint)) if a // dim != p)
-                dens[mine] = prob[mine].sum(axis=other) * grid.cell_volume ** (n - 1)
+        dens = np.empty((rows.size,) + grid.joint_shape(1))
+        for p in range(n):
+            mine = k == p
+            dens[mine] = grid.marginal(prob[mine], p, n)
         weights = np.clip(dens.reshape(rows.size, -1) * grid.cell_volume, 0.0, None)
         weights /= weights.sum(axis=1, keepdims=True)
         cdf = np.cumsum(weights, axis=1)
@@ -305,12 +288,9 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
         x_f = grid.wrap(nodes[picked] + sigma * noise)
 
         factor = collapse_factor(grid, x_f, params.r_C)
-        if n == 1:
-            amps *= factor
-        else:
-            for p in range(n):
-                mine = k == p
-                amps[mine] *= factor[mine].reshape(spread(p))
+        for p in range(n):
+            mine = k == p
+            amps[mine] *= grid.on_particle(factor[mine], p, n)
         norms = np.sqrt(np.sum(np.abs(amps) ** 2, axis=space) * psi0.volume_element)
         null = np.flatnonzero(norms <= 1e-14)
         if null.size:
@@ -327,9 +307,9 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
             scales = r_gm[k]
             total = np.zeros(amps.shape)
             for l in range(n):
-                total = total + (
-                    scales[:, l].reshape((-1,) + (1,) * dim) * shape
-                ).reshape(spread(l))
+                total = total + grid.on_particle(
+                    scales[:, l].reshape((-1,) + (1,) * dim) * shape, l, n
+                )
             amps *= np.exp(1j * total)
         counts[rows] += 1
         if record:
@@ -398,11 +378,9 @@ def _position_means(amps: np.ndarray, grid: GridSpec, n_particles: int):
     """``expectation_position`` of every particle, for a stack of states."""
     dim = grid.dim
     prob = np.abs(amps) ** 2
-    n_axes = dim * n_particles
     out = np.empty((amps.shape[0], n_particles, dim))
     for k in range(n_particles):
-        other = tuple(1 + a for a in range(n_axes) if a // dim != k)
-        dens = prob.sum(axis=other) * grid.cell_volume ** (n_particles - 1)
+        dens = grid.marginal(prob, k, n_particles)
         for a in range(dim):
             rest = tuple(1 + i for i in range(dim) if i != a)
             marg = dens.sum(axis=rest) if rest else dens

@@ -93,15 +93,6 @@ class PhaseProfile:
     shape: np.ndarray
     pair_scales: tuple[float, ...]
 
-    def total_phase(self, joint_shape: tuple[int, ...], dim: int) -> np.ndarray:
-        """Broadcast sum of per-particle phases over the joint grid."""
-        total = np.zeros(joint_shape)
-        for l, scale in enumerate(self.pair_scales):
-            view = [1] * len(joint_shape)
-            view[l * dim:(l + 1) * dim] = self.shape.shape
-            total = total + (scale * self.shape).reshape(view)
-        return total
-
 
 def phase_profile(
     x_f,
@@ -171,5 +162,7 @@ def apply_gravitational_kick(psi: WaveFunction, profile: PhaseProfile) -> WaveFu
         raise ValueError("profile and state disagree on particle count")
     if profile.shape.shape != (psi.grid.n_points,) * psi.grid.dim:
         raise ValueError("profile grid does not match the state grid")
-    total = profile.total_phase(psi.amplitudes.shape, psi.grid.dim)
+    total = np.zeros(psi.amplitudes.shape)
+    for l, scale in enumerate(profile.pair_scales):
+        total = total + psi.grid.on_particle(scale * profile.shape, l, psi.n_particles)
     return psi.with_amplitudes(psi.amplitudes * np.exp(1j * total))

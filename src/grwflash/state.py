@@ -2,8 +2,12 @@
 
 A single grid (dim axes of n_points each, uniform spacing) is shared by all
 particles; an N-particle wavefunction lives on the dim*N dimensional tensor
-grid.  The discrete L2 norm is the plain spacing-weighted (Riemann) sum,
-matching the discretized flash-position integrals in the dynamics module.
+grid.  ``GridSpec`` owns that joint layout: particle p holds joint axes
+p*dim ... (p+1)*dim - 1, after any leading batch axes, and only
+``GridSpec.on_particle`` and ``GridSpec.marginal`` place values there or
+sum a marginal out.  The discrete L2 norm is the plain spacing-weighted
+(Riemann) sum, matching the discretized flash-position integrals in the
+dynamics module.
 The grid is a periodic box, one model for every part of the code: free
 flight is spectral, every flash distance is a minimum-image distance
 (``GridSpec.min_image``) and sampled flash positions are wrapped into the
@@ -22,6 +26,7 @@ values, so sharing across workers is safe.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -90,6 +95,32 @@ class GridSpec:
     def joint_shape(self, n_particles: int) -> tuple[int, ...]:
         return (self.n_points,) * (self.dim * n_particles)
 
+    def on_particle(self, values, p: int, n_particles: int) -> np.ndarray:
+        """``values`` of shape (lead..., *cell), reshaped onto particle p's axes.
+
+        The last ``dim`` axes of ``values`` (any of them may have size 1)
+        become joint axes p*dim ... (p+1)*dim - 1, the other particles' axes
+        get size 1, and the leading axes stay in front: the result
+        broadcasts against (lead..., *joint_shape(n_particles)).
+        """
+        cut = values.ndim - self.dim
+        return values.reshape(
+            values.shape[:cut] + (1,) * (p * self.dim) + values.shape[cut:]
+            + (1,) * ((n_particles - 1 - p) * self.dim)
+        )
+
+    def marginal(self, prob: np.ndarray, p: int, n_particles: int) -> np.ndarray:
+        """Particle p's marginal of joint ``prob`` (lead..., *joint_shape).
+
+        Sums over every other particle's axes, weighted by their cell
+        volumes; the result has shape (lead..., *cell).
+        """
+        lead = prob.ndim - self.dim * n_particles
+        other = tuple(
+            lead + a for a in range(self.dim * n_particles) if a // self.dim != p
+        )
+        return prob.sum(axis=other) * self.cell_volume ** (n_particles - 1)
+
     def min_image(self, d: np.ndarray) -> np.ndarray:
         """Displacements wrapped to their nearest periodic image, [-L/2, L/2)."""
         length = self.extent
@@ -135,10 +166,6 @@ class WaveFunction:
         return float(
             np.sqrt(np.sum(np.abs(self.amplitudes) ** 2) * self.volume_element)
         )
-
-    def particle_axes(self, k: int) -> tuple[int, ...]:
-        d = self.grid.dim
-        return tuple(range(k * d, (k + 1) * d))
 
     def with_amplitudes(self, amps: np.ndarray) -> "WaveFunction":
         return WaveFunction(self.grid, self.n_particles, amps)
@@ -256,9 +283,8 @@ def make_gaussian_packet(grid, n_particles, centers, widths, momenta=None):
                 -((x - centers[k, a]) ** 2) / (2 * widths[k] ** 2)
                 + 1j * momenta[k, a] * x
             )
-            shape = [1] * (grid.dim * n_particles)
-            shape[k * grid.dim + a] = grid.n_points
-            amps = amps * factor.reshape(shape)
+            factor = factor.reshape((1,) * a + (-1,) + (1,) * (grid.dim - 1 - a))
+            amps = amps * grid.on_particle(factor, k, n_particles)
     return normalize(WaveFunction(grid, n_particles, amps))
 
 
@@ -270,10 +296,7 @@ def position_density(psi: WaveFunction, k: int) -> np.ndarray:
     """
     if not 0 <= k < psi.n_particles:
         raise IndexError(f"particle index {k} out of range")
-    prob = np.abs(psi.amplitudes) ** 2
-    other = tuple(a for a in range(prob.ndim) if a not in psi.particle_axes(k))
-    dens = prob.sum(axis=other) * psi.grid.cell_volume ** (psi.n_particles - 1)
-    return dens
+    return psi.grid.marginal(np.abs(psi.amplitudes) ** 2, k, psi.n_particles)
 
 
 def expectation_position(psi: WaveFunction, k: int) -> np.ndarray:
@@ -369,13 +392,17 @@ def trace_distance(rho1: DensityMatrix, rho2: DensityMatrix) -> float:
     return float(0.5 * np.sum(np.abs(eig)))
 
 
-def save_state(psi: WaveFunction, path) -> None:
-    """Write the documented binary container.
+def save_state(psi: WaveFunction, file) -> None:
+    """Write the documented binary container to a path or a binary file.
 
     Layout (little-endian): magic "GRWS", u32 version, u32 dim, u32
     n_particles, u32 n_points, f64 spacing, f64 origin[dim], then the
     amplitudes as interleaved re/im f64 pairs in C order.
     """
+    if isinstance(file, (str, os.PathLike)):
+        with open(file, "wb") as fh:
+            save_state(psi, fh)
+        return
     grid = psi.grid
     header = _MAGIC + struct.pack(
         "<IIII", _FORMAT_VERSION, grid.dim, psi.n_particles, grid.n_points
@@ -383,9 +410,8 @@ def save_state(psi: WaveFunction, path) -> None:
     header += struct.pack("<d", grid.spacing)
     header += struct.pack(f"<{grid.dim}d", *grid.origin)
     payload = np.ascontiguousarray(psi.amplitudes).astype("<c16").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    file.write(header)
+    file.write(payload)
 
 
 def load_state(path) -> WaveFunction:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import grwflash
-from grwflash import dynamics
+from grwflash import cli, dynamics
 from grwflash.cli import main
 from grwflash.config import (
     ConfigError,
@@ -16,7 +16,7 @@ from grwflash.config import (
     save_config,
 )
 from grwflash.dynamics import BATCH_SIZE
-from grwflash.state import GridSpec
+from grwflash.state import GridSpec, save_state
 from grwflash.units import dimensionless_params
 
 MINIMAL = """\
@@ -61,9 +61,11 @@ def test_unknown_key_is_named(tmp_path):
     with pytest.raises(ConfigError, match="lamda"):
         load_config(write(tmp_path, bad))
     # runs reduce in batches of 64 and fly exactly per segment: neither the
-    # batch size nor a free-flight step is a config key
+    # batch size nor a free-flight step is a config key; the trajectory
+    # command writes no snapshots, so it takes no snapshot times
     for extra in ("[verify]\nbatch_size = 8", "[ensemble]\nbatch_size = 8",
-                  "[trajectory]\ndt_free = 0.01"):
+                  "[trajectory]\ndt_free = 0.01",
+                  "[trajectory]\nsnapshot_times = 1.0"):
         key = extra.split("\n")[1].split(" =")[0]
         with pytest.raises(ConfigError, match=key):
             load_config(write(tmp_path, MINIMAL + "\n" + extra + "\n"))
@@ -159,10 +161,30 @@ def test_cli_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch):
     plain = tmp_path / "plain"
     with open(plain, "w"):
         pass
-    for name in ("flashes.csv", "manifest.json"):
+    for name in ("flashes.csv", "final_state.grws", "manifest.json"):
         assert (out / name).stat().st_mode == plain.stat().st_mode
     before = sorted(p.name for p in out.iterdir())
-    manifest = (out / "manifest.json").read_bytes()
+    old = {name: (out / name).read_bytes() for name in before}
+
+    class FailingPayload:
+        """A binary file whose second write, after the state header, fails."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 2:
+                raise OSError("injected failure")
+            return self.fh.write(data)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "save_state",
+                      lambda psi, fh: save_state(psi, FailingPayload(fh)))
+        assert main(["--config", str(cfg), "--out-dir", str(out),
+                     "trajectory"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == before
+    assert (out / "final_state.grws").read_bytes() == old["final_state.grws"]
 
     def failing_dump(*args, **kwargs):
         raise RuntimeError("injected failure")
@@ -171,7 +193,7 @@ def test_cli_failed_json_write_keeps_the_old_file(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="injected failure"):
         main(["--config", str(cfg), "--out-dir", str(out), "trajectory"])
     assert sorted(p.name for p in out.iterdir()) == before
-    assert (out / "manifest.json").read_bytes() == manifest
+    assert (out / "manifest.json").read_bytes() == old["manifest.json"]
 
 
 def test_cli_negative_threads_is_usage_error(tmp_path, capsys):

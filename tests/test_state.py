@@ -64,6 +64,58 @@ def test_grid_min_image_and_wrap_ranges():
     assert np.array_equal(g.min_image(np.array([0.25, -0.5, 1.75])), [0.25, -0.5, 1.75])
 
 
+def _cell_shapes(dim, m):
+    """A whole particle cell, and each single-axis view of one."""
+    yield (m,) * dim
+    if dim > 1:
+        for a in range(dim):
+            yield (1,) * a + (m,) + (1,) * (dim - 1 - a)
+
+
+_LAYOUTS = [(dim, n, lead) for dim in (1, 3) for n in (1, 2, 3)
+            for lead in ((), (2,))]
+
+
+@pytest.mark.parametrize("dim, n, lead", _LAYOUTS)
+def test_on_particle_places_values_on_the_particle_axes(dim, n, lead):
+    grid = GridSpec.centered(dim, 4, 0.5)
+    rng = np.random.default_rng(dim * 10 + n)
+    every = (slice(None),)
+    for cell in _cell_shapes(dim, grid.n_points):
+        values = rng.standard_normal(lead + cell)
+        for p in range(n):
+            out = grid.on_particle(values, p, n)
+            assert out.shape == (lead + (1,) * (p * dim) + cell
+                                 + (1,) * ((n - 1 - p) * dim))
+            assert np.shares_memory(out, values)
+            # explicit placement: each cell index of particle p, every other
+            # particle's axes filled with that one value
+            want = np.empty(lead + grid.joint_shape(n))
+            for c in np.ndindex(*grid.joint_shape(1)):
+                src = tuple(i if size > 1 else 0 for i, size in zip(c, cell))
+                dst = every * (len(lead) + p * dim) + c
+                want[dst] = values[every * len(lead) + src].reshape(
+                    lead + (1,) * ((n - 1) * dim))
+            assert np.array_equal(np.broadcast_to(out, want.shape), want)
+
+
+@pytest.mark.parametrize("dim, n, lead", _LAYOUTS)
+def test_marginal_sums_every_other_particle(dim, n, lead):
+    # small integers and a power-of-two cell volume keep every sum exact,
+    # whatever order it is taken in
+    grid = GridSpec.centered(dim, 4, 0.5)
+    rng = np.random.default_rng(dim * 10 + n)
+    prob = rng.integers(0, 50, size=lead + grid.joint_shape(n)).astype(float)
+    every = (slice(None),)
+    for p in range(n):
+        want = np.empty(lead + grid.joint_shape(1))
+        for c in np.ndindex(*grid.joint_shape(1)):
+            rest = prob[every * (len(lead) + p * dim) + c]
+            summed = rest.reshape(lead + (-1,)).sum(axis=-1)
+            want[every * len(lead) + c] = summed * grid.cell_volume ** (n - 1)
+        assert np.array_equal(grid.marginal(prob, p, n), want)
+
+
 def test_packet_centered_moments():
     psi = make_gaussian_packet(grid1d(), 1, [[0.0]], [1.0])
     assert abs(psi.norm() - 1.0) < 1e-10
@@ -273,6 +325,17 @@ def test_serialization_round_trip(tmp_path):
     assert back.grid == psi.grid
     assert back.n_particles == psi.n_particles
     assert np.array_equal(back.amplitudes, psi.amplitudes)
+
+
+def test_save_state_writes_the_same_bytes_to_an_open_file(tmp_path):
+    psi = random_state(4, GridSpec.centered(3, 4, 0.5), n_particles=2)
+    save_state(psi, tmp_path / "path.grws")
+    with open(tmp_path / "file.grws", "wb") as fh:
+        save_state(psi, fh)
+    assert ((tmp_path / "file.grws").read_bytes()
+            == (tmp_path / "path.grws").read_bytes())
+    assert np.array_equal(load_state(tmp_path / "file.grws").amplitudes,
+                          psi.amplitudes)
 
 
 def test_serialization_rejects_garbage(tmp_path):
