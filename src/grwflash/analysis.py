@@ -182,9 +182,13 @@ def gamma_at_separation(
         # The phase difference vanishes identically and the Gaussian weight
         # is normalized, so the kernel is exactly 1 on the diagonal.
         return KernelPoint(1.0 + 0.0j, 0.0, 0)
+    damp = math.exp(-(delta**2) / 4.0)
     eps = params.epsilon(particle, particle)
+    if eps == 0.0:
+        # Without gravity the phase vanishes: Gamma is the closed form.
+        return KernelPoint(damp + 0.0j, 0.0, 0)
     value, err, n = _kernel_quadrature(delta, eps, spec, deficit=False)
-    return KernelPoint(math.exp(-(delta**2) / 4.0) * value, err, n)
+    return KernelPoint(damp * value, damp * err, n)
 
 
 def gamma_kernel(

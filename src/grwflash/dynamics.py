@@ -13,11 +13,14 @@ kinetic H0 is diagonal in the grid's DFT basis, so each segment between
 flashes, snapshots and T is one FFT, one phase exp(-i E t / hbar) and one
 inverse FFT, whatever its length.
 
-Trajectories run in lockstep batches (``_lockstep``): a (B, *joint_shape)
-array holds one trajectory per row, and each flash round advances every
-running row with one numpy call per step, while each row still draws from
-its own stream in the order a lone trajectory would.  ``run_trajectory`` is
-the one-row case.  An ensemble batch is reduced to its projector sum
+Trajectories run in lockstep (``_lockstep``): a (B, *joint_shape) array
+holds one trajectory per row, and each flash round advances every running
+row with one numpy call per step, while each row still draws from its own
+stream in the order a lone trajectory would.  The rows draw from a
+per-thread pool of Philox generators re-keyed to their streams, not from a
+new generator each.  ``run_trajectory`` is the one-row case.  An ensemble
+runs one lockstep per group of consecutive BATCH_SIZE-row batches, up to
+LOCKSTEP_AMPLITUDES amplitudes, and reduces each batch to its projector sum
 V^T conj(V) and |.|^2 sum with ``einsum``, which makes no BLAS call.
 
 The oracle solves the corresponding master equation
@@ -52,12 +55,13 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .collapse import FlashEvent, collapse_factor, rng_stream
+from .collapse import FlashEvent, collapse_factor
 from .gravity import profile_shape
 from .state import (
     MAX_DENSITY_BASIS,
@@ -179,12 +183,47 @@ def _check_start(psi0: WaveFunction, params: PhysicalParams) -> None:
     warn_if_near_boundary(psi0)
 
 
+_lanes = threading.local()
+
+
+def _rekeyed_lanes(master_seed: int, seeds) -> list[np.random.Generator]:
+    """One generator per seed, on Philox stream (master_seed, seed) at its start.
+
+    Each is the stream ``rng_stream`` builds: key (master_seed, seed),
+    counter 0, an empty buffer and no cached 32-bit half.  The generators
+    come from a per-thread pool and are re-keyed in place through the
+    public state setter, which costs less than building a new one; they
+    stay valid until the thread's next call.
+    """
+    pool = getattr(_lanes, "pool", None)
+    if pool is None:
+        pool = _lanes.pool = []
+    while len(pool) < len(seeds):
+        pool.append(np.random.Generator(np.random.Philox()))
+    zero = np.zeros(4, dtype=np.uint64)
+    for lane, seed in zip(pool, seeds):
+        lane.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": zero,
+                "key": np.array([master_seed, seed], dtype=np.uint64),
+            },
+            "buffer": zero,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+    return pool[:len(seeds)]
+
+
 def _lockstep(psi0, params, config, master_seed, seeds, record=False):
     """Run one trajectory per seed together, one flash round at a time.
 
-    Row r is trajectory seeds[r] on Philox stream (master_seed, seeds[r]).
-    Each round, every running row draws its next flash time and particle
-    from its own stream (``next_flash``'s draws), flies freely to it (or to
+    Row r is trajectory seeds[r] on Philox stream (master_seed, seeds[r]),
+    drawn from a re-keyed lane (``_rekeyed_lanes``).  Each round, every
+    running row draws its next flash time and particle from its own stream
+    (``next_flash``'s draws; the particle only when n > 1, since
+    ``integers(1)`` consumes no bits), flies freely to it (or to
     T) in exact segments split at the snapshot times, and stops if it is
     past T; every other row flashes.  A flashing row draws its position as
     ``sample_flash_position`` does: the single uniform that
@@ -216,7 +255,7 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
     nodes = None                                  # built at the first flash
     sigma = params.r_C / np.sqrt(2.0)
 
-    rngs = [rng_stream(master_seed, s) for s in seeds]
+    rngs = _rekeyed_lanes(master_seed, seeds)
     final = np.empty((len(seeds),) + joint, dtype=np.complex128)
     counts = np.zeros(len(seeds), dtype=np.int64)
     logs = [[] for _ in seeds]
@@ -239,10 +278,11 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
 
     while rows.size:
         wait = np.empty(rows.size)
-        k = np.empty(rows.size, dtype=np.intp)
+        k = np.zeros(rows.size, dtype=np.intp)
         for j, r in enumerate(rows):
             wait[j] = rngs[r].standard_exponential() / rate
-            k[j] = rngs[r].integers(n)
+            if n > 1:
+                k[j] = rngs[r].integers(n)
         t_event = t + wait
         end = np.minimum(t_event, total_time)
         for stop in config.snapshot_times:
@@ -348,9 +388,9 @@ def run_trajectory(
 class EnsembleResult:
     """Equal-weight trajectory average at time T plus error diagnostics.
 
-    Trajectories run in fixed batches (independent of worker count), each
-    batch advanced in lockstep and reduced to its projector sum with
-    ``einsum``.  ``split_sums[s]`` is the sum over the batches whose index
+    Trajectories run in fixed batches (independent of worker count),
+    advanced in lockstep groups of consecutive batches, each batch reduced
+    to its projector sum with ``einsum``.  ``split_sums[s]`` is the sum over the batches whose index
     has bit s clear, for s < floor(log2(len(batch_sizes))): the half-split
     sums that feed the trace-distance noise estimate, accumulated while the
     run goes, so memory does not grow with the batch count.  ``entry_se``
@@ -371,7 +411,10 @@ class EnsembleResult:
         return self.mean_positions[:, k, :]
 
 
-BATCH_SIZE = 64  # trajectories per lockstep batch, whatever the worker count
+BATCH_SIZE = 64  # trajectories per reduction batch, whatever the worker count
+# Amplitudes (rows x basis size) one lockstep group may hold: consecutive
+# batches share one lockstep while they fit, and a group holds at least one.
+LOCKSTEP_AMPLITUDES = 2**14
 
 
 def _position_means(amps: np.ndarray, grid: GridSpec, n_particles: int):
@@ -389,15 +432,22 @@ def _position_means(amps: np.ndarray, grid: GridSpec, n_particles: int):
 
 
 def _trajectory_batch(args):
-    """Lockstep-run one batch; reduce it to its projector and |.|^2 sums."""
-    psi0, params, config, master_seed, start, stop = args
+    """Lockstep-run a group of consecutive batches together; reduce each batch
+    to its projector and |.|^2 sums, its flash counts and position means."""
+    psi0, params, config, master_seed, bounds = args
+    first = bounds[0][0]
     final, counts, _, _ = _lockstep(
-        psi0, params, config, master_seed, range(start, stop)
+        psi0, params, config, master_seed, range(first, bounds[-1][1])
     )
-    v = final.reshape(stop - start, -1)
-    a = np.abs(v) ** 2
-    means = _position_means(final, psi0.grid, psi0.n_particles)
-    return _projector_sum(v), np.einsum("bi,bj->ij", a, a), counts, means
+    out = []
+    for start, stop in bounds:
+        rows = slice(start - first, stop - first)
+        v = final[rows].reshape(stop - start, -1)
+        a = np.abs(v) ** 2
+        means = _position_means(final[rows], psi0.grid, psi0.n_particles)
+        out.append((_projector_sum(v), np.einsum("bi,bj->ij", a, a),
+                    counts[rows], means))
+    return out
 
 
 def _projector_sum(v: np.ndarray) -> np.ndarray:
@@ -417,12 +467,15 @@ def _projector_sum(v: np.ndarray) -> np.ndarray:
 
 
 def _batches(tasks, workers):
-    """Batch results in task order, computed by ``workers`` processes."""
+    """Batch results in batch order, computed group by group by ``workers``
+    processes."""
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_trajectory_batch, tasks)
+            for group in pool.map(_trajectory_batch, tasks):
+                yield from group
     else:
-        yield from map(_trajectory_batch, tasks)
+        for task in tasks:
+            yield from _trajectory_batch(task)
 
 
 def run_ensemble(
@@ -439,9 +492,11 @@ def run_ensemble(
     Trajectory i always runs on Philox stream (master_seed, i); reduction
     happens per fixed-size batch and batches are combined in index order,
     so the result is bitwise independent of the worker count (0 picks one
-    worker per core; a negative count is an error).  Batch sums are added
-    into the totals as they arrive, so a serial run holds one batch's sums
-    at a time.
+    worker per core; a negative count is an error).  Consecutive batches
+    run in one lockstep group while the group holds at most
+    LOCKSTEP_AMPLITUDES amplitudes; grouping changes no row, so no result.
+    Batch sums are added into the totals as they arrive, so a serial run
+    holds one group's sums at a time.
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories")
@@ -455,7 +510,11 @@ def run_ensemble(
     bounds = [
         (s, min(s + batch_size, n_traj)) for s in range(0, n_traj, batch_size)
     ]
-    tasks = [(psi0, params, config, master_seed, s, e) for s, e in bounds]
+    per_group = max(1, LOCKSTEP_AMPLITUDES // (batch_size * b))
+    tasks = [
+        (psi0, params, config, master_seed, bounds[g:g + per_group])
+        for g in range(0, len(bounds), per_group)
+    ]
     if workers == 0:
         workers = os.cpu_count() or 1
     n_splits = len(bounds).bit_length() - 1

@@ -33,9 +33,14 @@ TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-11)
 def test_gamma_equals_closed_form_without_gravity():
     params = dimensionless_params(lam=1.0, r_G=0.0)
     for d in np.linspace(0.0, 4.0, 9):
+        closed = math.exp(-(d**2) / 4.0)
+        if d > 0:
+            # the quadrature engine itself, which gamma_at_separation skips
+            value, err, _ = analysis._kernel_quadrature(float(d), 0.0, TIGHT, deficit=False)
+            assert abs(closed * value - closed) < 1e-9
+            assert abs(value.imag) <= err
         pt = gamma_at_separation(float(d), params, TIGHT)
-        assert abs(pt.value - math.exp(-(d**2) / 4.0)) < 1e-9
-        assert abs(pt.value.imag) <= pt.error
+        assert (pt.value, pt.error, pt.n_evals) == (closed + 0.0j, 0.0, 0)
 
 
 def test_gamma_diagonal_is_exactly_one():
@@ -129,6 +134,16 @@ def test_gamma_matches_reference_engine_within_its_bound():
     pt = gamma_deficit(0.005, dimensionless_params(lam=1.0, r_G=1e-4),
                        QuadratureSpec(rel_tol=3e-4, abs_tol=1e-30))
     assert abs(pt.value - 5.5135570749169265e-11) <= 1.58175004583756e-14
+
+
+def test_gamma_error_bound_is_damped_with_the_value():
+    # Gamma = exp(-delta^2/4) I: the bound on Gamma is the damped bound on I,
+    # tight at delta = 2.9 and still covering a far tighter reference
+    params = dimensionless_params(lam=1.0, r_G=0.1)
+    pt = gamma_at_separation(2.9, params, QuadratureSpec(rel_tol=1e-9, abs_tol=2e-7))
+    ref = gamma_at_separation(2.9, params, QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15))
+    assert pt.error <= 1e-8
+    assert abs(pt.value - ref.value) <= pt.error
 
 
 def test_gamma_hermitian_symmetry():

@@ -1,5 +1,7 @@
 import copy
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -17,6 +19,7 @@ from grwflash.dynamics import (
     TrajectoryError,
     _kernel_tables,
     _lockstep,
+    _rekeyed_lanes,
     ensemble_vs_master_check,
     exact_diagonal_solution,
     flash_kernel_matrices,
@@ -452,6 +455,129 @@ def test_ensemble_worker_count_invariance():
                       batch_size=2)
     assert np.array_equal(r1.rho.entries, r2.rho.entries)
     assert np.array_equal(r1.flash_counts, r2.flash_counts)
+
+
+def _ensemble_fields(res):
+    return (res.rho.entries, res.entry_se, res.flash_counts, res.mean_positions,
+            res.split_sums, res.batch_sizes)
+
+
+@pytest.mark.parametrize(
+    "case", ["1d-one-particle-gravity", "1d-two-kinetic-particles"]
+)
+def test_ensemble_grouping_is_invisible(case, monkeypatch):
+    # one batch per lockstep group against every batch in one group, with a
+    # ragged last batch (22 = 5 * 4 + 2), serial and on two workers
+    import grwflash.dynamics as dynamics
+
+    psi0, params, cfg = _STEPPER_CASES[case]
+    calls = []
+    lockstep = dynamics._lockstep
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[4]))
+        return lockstep(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_lockstep", counted)
+    runs = {}
+    for budget in (1, 2**40):
+        monkeypatch.setattr(dynamics, "LOCKSTEP_AMPLITUDES", budget)
+        for workers in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the kinetic pair nears the edge
+                runs[budget, workers] = run_ensemble(
+                    psi0, params, cfg, 22, master_seed=4, workers=workers,
+                    batch_size=4,
+                )
+    # the serial runs locksteps every batch alone, then all 22 rows at once
+    assert calls == [4, 4, 4, 4, 4, 2, 22]
+    ref = _ensemble_fields(runs[1, 1])
+    assert ref[-1].tolist() == [4, 4, 4, 4, 4, 2]
+    for res in runs.values():
+        for got, want in zip(_ensemble_fields(res), ref):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def _philox_state(rng):
+    state = rng.bit_generator.state
+    inner = state["state"]
+    return (inner["counter"].tolist(), inner["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"],
+            state["has_uint32"], state["uinteger"])
+
+
+def _mixed_draws(rng):
+    return np.concatenate([
+        [rng.standard_exponential(), rng.integers(2), rng.random()],
+        rng.standard_normal(3),
+        [rng.integers(2**32, dtype=np.uint32), rng.random()],
+    ])
+
+
+def test_rekeyed_lanes_equal_fresh_streams():
+    # leave the lanes part-way through a block with a cached 32-bit half
+    for lane in _rekeyed_lanes(3, [0, 1, 2]):
+        lane.standard_normal()
+        lane.integers(2**32, dtype=np.uint32)
+        assert lane.bit_generator.state["has_uint32"] == 1
+    lanes = _rekeyed_lanes(2**40 + 5, [7, 2**63, 0])
+    assert len(lanes) == 3
+    for lane, seed in zip(lanes, [7, 2**63, 0]):
+        fresh = rng_stream(2**40 + 5, seed)
+        assert _philox_state(lane) == _philox_state(fresh)
+        assert np.array_equal(_mixed_draws(lane), _mixed_draws(fresh))
+        assert _philox_state(lane) == _philox_state(fresh)
+
+
+def test_one_particle_clock_skips_a_draw_that_consumes_nothing():
+    # _lockstep draws the particle only when n > 1: numpy's integers(1)
+    # must consume no bits, or a lone run would shift its stream
+    rng = rng_stream(5, 1)
+    rng.random()
+    before = _philox_state(rng)
+    assert rng.integers(1) == 0
+    assert _philox_state(rng) == before
+
+
+def test_concurrent_ensembles_in_threads_match_serial_runs(monkeypatch):
+    # each thread re-keys its own lane pool: interleaved runs on different
+    # master seeds must reproduce their serial bits.  One batch per group
+    # makes every run re-key its lanes twelve times.
+    import grwflash.dynamics as dynamics
+
+    monkeypatch.setattr(dynamics, "LOCKSTEP_AMPLITUDES", 1)
+    params = dimensionless_params(lam=1.0, r_G=0.3)
+    cfg = EvolutionConfig(total_time=2.0)
+    seeds = (1, 2, 3)
+    serial = {m: run_ensemble(packet(), params, cfg, 48, m, batch_size=4)
+              for m in seeds}
+    results, errors = {}, []
+    barrier = threading.Barrier(len(seeds))
+
+    def run(m):
+        try:
+            barrier.wait(timeout=30)
+            results[m] = run_ensemble(packet(), params, cfg, 48, m, batch_size=4)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(m,)) for m in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for m in seeds:
+        for got, want in zip(_ensemble_fields(results[m]),
+                             _ensemble_fields(serial[m])):
+            assert np.array_equal(got, want)
 
 
 def test_ensemble_offdiagonal_suppression():
