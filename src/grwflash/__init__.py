@@ -88,5 +88,4 @@ from .units import (
     from_dimensionless,
     si_preset,
     to_dimensionless,
-    validate,
 )

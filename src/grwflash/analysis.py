@@ -20,7 +20,10 @@ evaluated only in the cancellation-free form 2 sin^2(dphi/2).  Rates
 differing from vanilla GRW by parts in 1e9 are only measurable through
 the deficit form.
 
-Evaluations cache on (separation, eps, tolerances): scans reuse thousands
+The phase is the sharp model's 1/r: under gaussian smearing, whose
+erf(r/w)/r profile is not implemented here, both are refused where eps != 0.
+
+Evaluations cache on (delta, eps, deficit, spec): scans reuse thousands
 of identical points.  Values are deterministic, so concurrent last-writer-
 wins insertion into the cache dict is benign.
 """
@@ -167,6 +170,12 @@ def _kernel_quadrature(
     return out
 
 
+def _require_sharp(params: PhysicalParams) -> None:
+    if params.smearing.kind != "sharp":
+        raise ValueError("the analytic kernel is implemented for sharp smearing "
+                         f"only, not {params.smearing.kind}")
+
+
 def gamma_at_separation(
     separation: float,
     params: PhysicalParams,
@@ -187,6 +196,7 @@ def gamma_at_separation(
     if eps == 0.0:
         # Without gravity the phase vanishes: Gamma is the closed form.
         return KernelPoint(damp + 0.0j, 0.0, 0)
+    _require_sharp(params)
     value, err, n = _kernel_quadrature(delta, eps, spec, deficit=False)
     return KernelPoint(damp * value, damp * err, n)
 
@@ -225,6 +235,7 @@ def gamma_deficit(
     eps = params.epsilon(particle, particle)
     if delta == 0.0 or eps == 0.0:
         return KernelPoint(0.0 + 0.0j, 0.0, 0)
+    _require_sharp(params)
     value, err, n = _kernel_quadrature(delta, eps, spec, deficit=True)
     damp = math.exp(-(delta**2) / 4.0)
     return KernelPoint(damp * value, damp * err, n)

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .state import GridSpec
-from .units import PhysicalParams, Smearing, si_preset, validate as validate_params
+from .units import PhysicalParams, Smearing, si_preset
 
 
 class ConfigError(ValueError):
@@ -126,30 +126,19 @@ class ExperimentConfig:
 
 
 def _build_params(values: dict) -> PhysicalParams:
-    if values.get("preset"):
-        preset = values["preset"]
-        try:
-            return si_preset(preset)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if values["smearing"] == "gaussian":
-        smearing = Smearing.gaussian(values.get("smearing_width") or 0.0)
-    elif values["smearing"] == "sharp":
-        smearing = Smearing.sharp()
-    else:
-        raise ConfigError(f"unknown smearing {values['smearing']!r}")
-    params = PhysicalParams(
-        lam=values["lambda"],
-        r_C=values["r_c"],
-        G=values["g"],
-        hbar=values["hbar"],
-        masses=values["masses"],
-        smearing=smearing,
-    )
-    diags = validate_params(params)
-    if diags:
-        raise ConfigError("invalid params: " + "; ".join(diags))
-    return params
+    try:
+        if values.get("preset"):
+            return si_preset(values["preset"])
+        return PhysicalParams(
+            lam=values["lambda"],
+            r_C=values["r_c"],
+            G=values["g"],
+            hbar=values["hbar"],
+            masses=values["masses"],
+            smearing=Smearing(values["smearing"], values.get("smearing_width")),
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_grid(values: dict) -> GridSpec:

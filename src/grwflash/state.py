@@ -53,9 +53,11 @@ class GridSpec:
             raise ValueError("dim must be 1 or 3")
         if self.n_points < 4:
             raise ValueError("n_points must be at least 4")
-        if not self.spacing > 0:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < math.inf:  # nan fails it too
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         origin = tuple(float(c) for c in np.atleast_1d(self.origin))
+        if not all(-math.inf < c < math.inf for c in origin):
+            raise ValueError(f"origin must be finite, got {origin}")
         if len(origin) == 1 and self.dim > 1:
             origin = origin * self.dim
         if len(origin) != self.dim:
@@ -246,7 +248,8 @@ def make_gaussian_packet(grid, n_particles, centers, widths, momenta=None):
     Each factor is proportional to exp(-(x-c)^2/(2 w^2) + i k.x), so the
     position variance per axis is w^2/2.  Widths must be resolvable
     (w >= 2*spacing) and the packet must fit: density mass outside the grid
-    is required to stay below 1e-8 per axis.
+    is required to stay below 1e-8 per axis.  Centers, widths and momenta
+    must be finite.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     widths = np.atleast_1d(np.asarray(widths, dtype=float))
@@ -259,6 +262,10 @@ def make_gaussian_packet(grid, n_particles, centers, widths, momenta=None):
         momenta = momenta.reshape(n_particles, grid.dim)
     if widths.shape != (n_particles,):
         raise ValueError("need one width per particle")
+    for name, values in (("center", centers), ("width", widths),
+                         ("momentum", momenta)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"packet {name} must be finite, got {values.tolist()}")
 
     for k in range(n_particles):
         w = widths[k]

@@ -16,6 +16,7 @@ events on any simulatable timescale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -47,8 +48,9 @@ class Smearing:
         if self.kind not in ("sharp", "gaussian"):
             raise ValueError(f"unknown smearing kind {self.kind!r}")
         if self.kind == "gaussian":
-            if self.width is None or not self.width > 0:
-                raise ValueError("gaussian smearing requires width > 0")
+            if self.width is None or not 0 < self.width < math.inf:
+                raise ValueError("gaussian smearing needs a finite width > 0, "
+                                 f"got {self.width}")
         elif self.width is not None:
             raise ValueError("sharp smearing takes no width")
 
@@ -67,6 +69,9 @@ class PhysicalParams:
 
     Units are whatever the caller says they are; :func:`to_dimensionless`
     converts between unit systems.  ``masses`` has one entry per particle.
+    Construction refuses a set that violates any invariant (lam, r_C, hbar
+    and every mass positive and finite, G nonnegative and finite, at least
+    one mass) and names each one that fails.
     """
 
     lam: float                      # flash rate per particle [1/time]
@@ -78,6 +83,17 @@ class PhysicalParams:
 
     def __post_init__(self):
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
+        # every comparison is written so that nan fails it
+        positive = [("lambda", self.lam), ("r_C", self.r_C), ("hbar", self.hbar)]
+        positive += [(f"mass[{i}]", m) for i, m in enumerate(self.masses)]
+        diags = [f"{name} must be positive and finite, got {value}"
+                 for name, value in positive if not 0 < value < math.inf]
+        if not 0 <= self.G < math.inf:
+            diags.append(f"G must be nonnegative and finite, got {self.G}")
+        if not self.masses:
+            diags.append("at least one particle mass is required")
+        if diags:
+            raise ValueError("invalid params: " + "; ".join(diags))
 
     @property
     def n_particles(self) -> int:
@@ -164,27 +180,6 @@ def from_dimensionless(params: PhysicalParams, units: UnitSystem) -> PhysicalPar
     return to_dimensionless(params, inv)
 
 
-def validate(params: PhysicalParams) -> list[str]:
-    """Collect violated invariants; an empty list means the params are usable."""
-    diags = []
-    if not params.lam > 0:
-        diags.append("lambda must be positive")
-    if not params.r_C > 0:
-        diags.append("r_C must be positive")
-    if params.G < 0:
-        diags.append("G must be nonnegative")
-    if not params.hbar > 0:
-        diags.append("hbar must be positive")
-    if len(params.masses) == 0:
-        diags.append("at least one particle mass is required")
-    for i, m in enumerate(params.masses):
-        if not m > 0:
-            diags.append(f"mass[{i}] must be positive (got {m})")
-    if params.smearing.kind == "gaussian" and not (params.smearing.width or 0) > 0:
-        diags.append("gaussian smearing width must be positive")
-    return diags
-
-
 def si_preset(particle: str = "proton", lam: float = LAMBDA_GRW_SI) -> PhysicalParams:
     """Single-particle SI parameter set with CODATA constants.
 
@@ -212,10 +207,9 @@ def dimensionless_params(
     """Working-unit params (hbar = r_C = 1, unit masses) with a chosen r_G.
 
     G is back-solved from r_G = G/(hbar*lam) for unit masses, which keeps
-    every downstream formula in terms of the physical constants.
+    every downstream formula in terms of the physical constants; a negative
+    r_G is refused as a negative G.
     """
-    if r_G < 0:
-        raise ValueError("r_G must be nonnegative")
     return PhysicalParams(
         lam=lam,
         r_C=1.0,

@@ -25,7 +25,7 @@ from grwflash.analysis import (
 )
 from grwflash.gravity import smeared_newton_potential
 from grwflash.quadrature import gaussian_tail_mass, integrate_adaptive
-from grwflash.units import dimensionless_params
+from grwflash.units import Smearing, dimensionless_params
 
 TIGHT = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-11)
 
@@ -170,6 +170,20 @@ def test_deficit_zero_cases():
     assert gamma_deficit(0.5, params).value == 0.0
     params = dimensionless_params(lam=1.0, r_G=0.1)
     assert gamma_deficit(0.0, params).value == 0.0
+
+
+def test_analytic_kernel_refuses_gaussian_smearing_where_the_phase_enters():
+    # the integrand is the sharp model's 1/r phase; gaussian smearing is
+    # refused rather than answered with the sharp value
+    gaussian = Smearing.gaussian(1.0)
+    params = dimensionless_params(lam=1.0, r_G=0.3, smearing=gaussian)
+    for kernel in (gamma_at_separation, gamma_deficit):
+        with pytest.raises(ValueError, match="gaussian"):
+            kernel(1.0, params)
+    # without a kick (eps = 0) Gamma is the closed form whatever the smearing
+    free = dimensionless_params(lam=1.0, r_G=0.0, smearing=gaussian)
+    assert gamma_at_separation(1.0, free).value == math.exp(-0.25) + 0.0j
+    assert gamma_deficit(1.0, free).value == 0.0
 
 
 def _geometric_cuts(center, inner, outer):

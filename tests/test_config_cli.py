@@ -81,6 +81,15 @@ def test_invalid_params_rejected(tmp_path):
         load_config(write(tmp_path, MINIMAL.replace("lambda = 1.0", "lambda = -2")))
 
 
+def test_smearing_width_needs_gaussian_smearing(tmp_path):
+    # a width given with sharp smearing is refused, not silently ignored
+    sharp = MINIMAL.replace("g = 0.09", "g = 0.09\nsmearing_width = 0.5")
+    with pytest.raises(ConfigError, match="sharp smearing takes no width"):
+        load_config(write(tmp_path, sharp))
+    gaussian = sharp.replace("g = 0.09", "g = 0.09\nsmearing = gaussian")
+    assert load_config(write(tmp_path, gaussian)).params.smearing.width == 0.5
+
+
 def test_missing_state_file_rejected(tmp_path):
     text = MINIMAL + "\n[trajectory]\nstate_file = nowhere.grws\n"
     with pytest.raises(ConfigError, match="not found"):
@@ -337,6 +346,67 @@ def test_cli_verify_refuses_zero_softening_before_any_trajectory(
     assert main(["--config", str(cfg), "--out-dir", str(out), "verify"]) == 2
     assert "softening > 0 in sharp mode" in capsys.readouterr().err
     assert not (out / "verify_report.json").exists()
+
+
+REFUSAL_RUN = """
+import contextlib, io, json, os, sys
+from grwflash.cli import main
+results = []
+for cfg, out in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", cfg, "--out-dir", out, "ensemble"])
+    left = sorted(os.listdir(out)) if os.path.isdir(out) else []
+    results.append([code, err.getvalue(), left])
+print(json.dumps(results))
+"""
+
+
+def test_cli_non_finite_inputs_exit_2_at_once(tmp_path):
+    # nan fails no "< 0" test: a nan total_time is never passed by a flash
+    # time, an infinite lambda makes every waiting time 0, and a nan g or
+    # packet width fills the outputs with nan.  In a subprocess under a
+    # timeout, so a run that never returns fails the test.
+    run = "\n[ensemble]\nn_traj = 16\ntotal_time = 1.0\n"
+    cases = [  # (line replaced, its replacement, what the error must say)
+        ("total_time = 1.0", "total_time = nan",
+         "total_time must be nonnegative and finite, got nan"),
+        ("total_time = 1.0", "total_time = inf",
+         "total_time must be nonnegative and finite, got inf"),
+        ("lambda = 1.0", "lambda = inf", "lambda must be positive and finite, got inf"),
+        ("g = 0.09", "g = nan", "G must be nonnegative and finite, got nan"),
+        ("n_traj = 16", "n_traj = 16\npacket_width = nan",
+         "packet width must be finite, got [nan]"),
+    ]
+    jobs = []
+    for k, (old, new, _) in enumerate(cases):
+        cfg = write(tmp_path, (MINIMAL + run).replace(old, new), name=f"{k}.cfg")
+        jobs.append([str(cfg), str(tmp_path / f"out{k}")])
+    src = str(Path(grwflash.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", REFUSAL_RUN, json.dumps(jobs)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout.splitlines()[-1])
+    for (_, new, says), (code, err, left) in zip(cases, results):
+        assert code == 2, new
+        assert err.startswith("error: ") and says in err, (new, err)
+        assert left == [], new
+
+
+def test_cli_analytic_commands_refuse_gaussian_smearing(tmp_path, capsys):
+    # the analytic kernel is the sharp model's: gaussian smearing with g != 0
+    # is refused, not answered with the sharp value
+    cfg = write(tmp_path, MINIMAL.replace(
+        "g = 0.09", "g = 0.3\nsmearing = gaussian\nsmearing_width = 1.0"))
+    for sub in ("kernel", "slope", "scan"):
+        out = tmp_path / sub
+        assert main(["--config", str(cfg), "--out-dir", str(out), sub]) == 2
+        err = capsys.readouterr().err
+        assert "sharp smearing only, not gaussian" in err, sub
+        assert list(out.iterdir()) == [], sub
 
 
 def test_cli_verify_on_8_rc_box(tmp_path):

@@ -43,10 +43,12 @@ from grwflash.state import (
     WaveFunction,
     density_from_ensemble,
     expectation_position,
+    load_state,
     make_gaussian_packet,
     normalize,
     position_density,
     pure_density,
+    save_state,
     trace_distance,
 )
 from grwflash.units import PhysicalParams, Smearing, dimensionless_params
@@ -190,8 +192,8 @@ def test_trajectory_input_validation():
     raw = packet().with_amplitudes(packet().amplitudes * 2.0)
     with pytest.raises(ValueError, match="normalized"):
         run_trajectory(raw, params, cfg, seed=0)
-    bad = PhysicalParams(lam=-1.0, r_C=1.0, G=0.0, hbar=1.0, masses=(1.0,))
     with pytest.raises(ValueError, match="lambda"):
+        bad = PhysicalParams(lam=-1.0, r_C=1.0, G=0.0, hbar=1.0, masses=(1.0,))
         run_trajectory(packet(), bad, cfg, seed=0)
     with pytest.raises(ValueError):
         EvolutionConfig(total_time=1.0, snapshot_times=(2.0,))
@@ -199,6 +201,21 @@ def test_trajectory_input_validation():
         EvolutionConfig(total_time=-1.0)
     with pytest.raises(ValueError, match="hamiltonian"):
         EvolutionConfig(total_time=1.0, hamiltonian="harmonic")
+
+
+def test_nan_initial_state_is_refused_as_not_normalized(tmp_path):
+    # a nan amplitude makes a nan norm, which no "> tol" test would refuse
+    params = dimensionless_params(lam=1.0, r_G=0.1)
+    cfg = EvolutionConfig(total_time=1.0)
+    amps = packet().amplitudes.copy()
+    amps[32] = np.nan
+    nan_state = packet().with_amplitudes(amps)
+    save_state(nan_state, tmp_path / "nan.grws")
+    for psi0 in (nan_state, load_state(tmp_path / "nan.grws")):
+        with pytest.raises(ValueError, match="normalized"):
+            run_trajectory(psi0, params, cfg, seed=0)
+        with pytest.raises(ValueError, match="normalized"):
+            run_ensemble(psi0, params, cfg, n_traj=4, master_seed=0)
 
 
 def test_trajectory_snapshots_split_flight_in_time_order():

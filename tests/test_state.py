@@ -151,6 +151,17 @@ def test_packet_rejects_boundary_leak():
         make_gaussian_packet(grid1d(16, 0.25), 1, [[0.0]], [1.0])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["center", "width", "momentum"])
+def test_packet_refuses_non_finite_inputs_by_name(name, value):
+    # a nan width or center passes every "<" guard and would build a nan packet
+    args = {"center": [[0.0]], "width": [1.0], "momentum": [[0.5]]}
+    args[name] = np.full_like(np.asarray(args[name]), value)
+    with pytest.raises(ValueError, match=name):
+        make_gaussian_packet(grid1d(), 1, args["center"], args["width"],
+                             args["momentum"])
+
+
 def test_packet_leak_guard_switches_at_the_erfc_threshold():
     # the guard refuses erfc(margin / w) > 1e-8: on either side of the
     # threshold margin erfcinv(1e-8) w ~ 4.05 w it decides as scipy's erfc does

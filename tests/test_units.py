@@ -1,6 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grwflash.dynamics import EvolutionConfig
+from grwflash.state import GridSpec
 from grwflash.units import (
     PhysicalParams,
     Smearing,
@@ -10,7 +14,6 @@ from grwflash.units import (
     from_dimensionless,
     si_preset,
     to_dimensionless,
-    validate,
 )
 
 
@@ -100,18 +103,53 @@ def test_round_trip_and_epsilon_invariance(lam, r_c, g, l0, t0, m0):
 
 
 def test_validate_flags_zero_lambda():
-    p = PhysicalParams(lam=0.0, r_C=1.0, G=0.0, hbar=1.0, masses=(1.0,))
-    assert any("lambda" in d for d in validate(p))
+    with pytest.raises(ValueError, match="lambda"):
+        PhysicalParams(lam=0.0, r_C=1.0, G=0.0, hbar=1.0, masses=(1.0,))
 
 
 def test_validate_ok_for_positive_params():
-    assert validate(si_preset("proton")) == []
+    for particle in ("proton", "electron"):
+        si_preset(particle)
 
 
 def test_validate_names_bad_mass_index():
-    p = PhysicalParams(lam=1.0, r_C=1.0, G=0.0, hbar=1.0, masses=(1.0, -2.0))
-    diags = validate(p)
-    assert any("mass[1]" in d for d in diags)
+    with pytest.raises(ValueError, match=r"mass\[1\]"):
+        PhysicalParams(lam=1.0, r_C=1.0, G=0.0, hbar=1.0, masses=(1.0, -2.0))
+
+
+def _params(**change):
+    return PhysicalParams(**{"lam": 1.0, "r_C": 1.0, "G": 0.5, "hbar": 1.0,
+                             "masses": (1.0, 2.0), **change})
+
+
+# (name the error must carry, constructor taking the field's value)
+NON_FINITE_FIELDS = {
+    "lam": ("lambda", lambda v: _params(lam=v)),
+    "r_C": ("r_C", lambda v: _params(r_C=v)),
+    "G": ("G must", lambda v: _params(G=v)),
+    "hbar": ("hbar", lambda v: _params(hbar=v)),
+    "masses": (r"mass\[1\]", lambda v: _params(masses=(1.0, v))),
+    "total_time": ("total_time", lambda v: EvolutionConfig(total_time=v)),
+    "softening": ("softening",
+                  lambda v: EvolutionConfig(total_time=1.0, softening=v)),
+    "snapshot_times": ("snapshot",
+                       lambda v: EvolutionConfig(total_time=1.0, snapshot_times=(v,))),
+    "spacing": ("spacing", lambda v: GridSpec(1, 8, v, (0.0,))),
+    "origin": ("origin", lambda v: GridSpec(3, 8, 0.5, (0.0, v, 0.0))),
+    "width": ("width", lambda v: Smearing.gaussian(v)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_FIELDS))
+def test_owners_refuse_non_finite_fields(field, value):
+    # each owner checks its fields once, when built; a nan must fail the
+    # check as surely as an infinity does
+    name, build = NON_FINITE_FIELDS[field]
+    build(0.5)
+    with pytest.raises(ValueError, match=name):
+        build(value)
 
 
 def test_smearing_validation():
