@@ -67,10 +67,14 @@ class QuadratureSpec:
     domain_margin: float = 7.0
 
     def __post_init__(self):
-        if self.domain_margin < 6.0:
-            raise ValueError("domain_margin must be at least 6 r_C")
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        # every comparison is written so that nan fails it
+        if not 6.0 <= self.domain_margin < math.inf:
+            raise ValueError("domain_margin must be at least 6 r_C and finite, "
+                             f"got {self.domain_margin}")
+        for name in ("rel_tol", "abs_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,14 @@ def _require_sharp(params: PhysicalParams) -> None:
                          f"only, not {params.smearing.kind}")
 
 
+def _delta(separation: float, params: PhysicalParams) -> float:
+    """separation / r_C, for a separation that is nonnegative and finite."""
+    if not 0 <= separation < math.inf:  # nan fails it
+        raise ValueError("separation must be nonnegative and finite, "
+                         f"got {separation}")
+    return separation / params.r_C
+
+
 def gamma_at_separation(
     separation: float,
     params: PhysicalParams,
@@ -184,9 +196,7 @@ def gamma_at_separation(
 ) -> KernelPoint:
     """Gamma for a pair a distance `separation` apart (isotropy makes the
     direction irrelevant)."""
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
-    delta = separation / params.r_C
+    delta = _delta(separation, params)
     if delta == 0.0:
         # The phase difference vanishes identically and the Gaussian weight
         # is normalized, so the kernel is exactly 1 on the diagonal.
@@ -229,9 +239,7 @@ def gamma_deficit(
     """
     if spec is None:
         spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-30)
-    if separation < 0:
-        raise ValueError("separation must be nonnegative")
-    delta = separation / params.r_C
+    delta = _delta(separation, params)
     eps = params.epsilon(particle, particle)
     if delta == 0.0 or eps == 0.0:
         return KernelPoint(0.0 + 0.0j, 0.0, 0)
@@ -261,7 +269,7 @@ def evaluate_kernel(
 
 def intrinsic_rate(separation: float, params: PhysicalParams) -> float:
     """Vanilla (G = 0) decoherence rate lam * (1 - exp(-d^2/(4 r_C^2)))."""
-    d = separation / params.r_C
+    d = _delta(separation, params)
     return params.lam * -math.expm1(-(d**2) / 4.0)
 
 
@@ -432,8 +440,8 @@ def smeared_potential_quadrature(
     the cuts z = -1, 0, 1 and rho = 1 beyond 2 r_C.  Returns (value, error
     bound).
     """
-    if d < 0:
-        raise ValueError("distance must be nonnegative")
+    if not 0 <= d < math.inf:  # nan fails it
+        raise ValueError(f"distance must be nonnegative and finite, got {d}")
     dd = d / r_C
     rz = dd + margin
     res = integrate_patches(
@@ -457,8 +465,6 @@ def effective_potential_check(d_values, params: PhysicalParams) -> list[Potentia
     """
     rows = []
     for d in np.asarray(d_values, dtype=float):
-        if d < 0:
-            raise ValueError("distances must be nonnegative")
         quad, err = smeared_potential_quadrature(d, params.r_C)
         closed = smeared_newton_potential(d, params.r_C)
         rel = abs(quad - closed) / closed

@@ -6,11 +6,11 @@ with identical manifest inputs are byte-identical; timestamps live only in
 the manifest.  Every CSV starts with a ``# params_hash=...`` line (plus
 ``master_seed=...`` for stochastic runs) and a column line; each cell is
 the repr of a Python int or float.  ``density_matrix.csv`` has b^2 rows
-``i,j,re,im,std_error`` in i-major order; its writer formats each
-Hermitian pair once and spills the mirror lines to anonymous temporary
-files in the output directory (at most about a quarter of the CSV's size
-at once).  Every output file is written under a temporary name and
-renamed into place when complete, so a failed write leaves no partial file.
+``i,j,re,im,std_error`` in i-major order; its writer formats a few matrix
+rows at a time with ``reprfmt.csv_lines``, which gives the bytes of repr
+cells without calling ``repr``, and writes no other file.  Every output
+file is written under a temporary name and renamed into place when
+complete, so a failed write leaves no partial file.
 Exit codes: 0 success, 1 physics-check failure (verify), 2 usage,
 configuration or output-directory error.
 """
@@ -43,6 +43,7 @@ from .dynamics import (
     run_trajectory,
 )
 from .quadrature import QuadratureError
+from .reprfmt import csv_lines
 from .state import make_gaussian_packet, load_state, save_state
 from .units import (
     LAMBDA_GRW_SI,
@@ -135,85 +136,30 @@ def _write_csv(path, config: ExperimentConfig, columns, rows,
             fh.write(line % row)
 
 
-DENSITY_BLOCK = 64  # target rows per spill file of _write_density_csv
-_SIGN_BIT = np.uint64(1 << 63)
+DENSITY_ROWS = 8  # matrix rows per block of _write_density_csv
 
 
 def _write_density_csv(path, config: ExperimentConfig, entries, entry_se,
                        master_seed) -> None:
     """``density_matrix.csv``: ``i,j,re,im,std_error`` rows, b^2 of them, i-major.
 
-    The bytes are those of ``_write_csv`` over every (i, j), but each
-    Hermitian pair is formatted once.  Row i formats its entries j >= i; the
-    line of the mirror (j, i) reuses their three strings, with the sign of
-    im flipped, wherever the bits make that exact: equal re and std_error,
-    and im(j, i) the negated bits of a non-nan im(i, j).  Every other mirror
-    is formatted from its own values, so any input gives the same bytes.
-    Mirror lines wait in column order in one anonymous spill file per
-    ``DENSITY_BLOCK`` target rows, in the output directory, until their
-    block's rows are written.  A block reads its file back whole and takes
-    row k's lines with ``spilled[k::size]``: memory holds one block's spill,
-    the disk at most about a quarter of the CSV.
+    The bytes are those of ``_write_csv`` over every (i, j).  ``csv_lines``
+    formats ``DENSITY_ROWS`` matrix rows at a time, so memory holds one
+    block's text, and no file but the CSV is written.
     """
-    import tempfile
-
     ent = np.asarray(entries, dtype=np.complex128)
     se = np.asarray(entry_se, dtype=np.float64)
     b = ent.shape[0]
-    re, im = ent.real, ent.imag
-    re_bits, im_bits = re.view(np.uint64), im.view(np.uint64)
-    se_bits = se.view(np.uint64)
-    starts = range(0, b, DENSITY_BLOCK)
-    spill_dir = os.path.dirname(os.path.abspath(path))
-    spills = []
-    try:
-        for _ in starts[1:]:
-            spills.append(tempfile.TemporaryFile(
-                "w+", encoding="ascii", newline="", dir=spill_dir))
-        with _whole_file(path) as out:
-            out.write(_csv_header(config, ["i", "j", "re", "im", "std_error"],
-                                  master_seed))
-            for n, start in enumerate(starts):
-                stop = min(start + DENSITY_BLOCK, b)
-                size = stop - start
-                spilled = []
-                if n:
-                    spills[n - 1].seek(0)
-                    spilled = spills[n - 1].readlines()
-                    spills[n - 1].close()
-                inner = [[] for _ in range(size)]  # mirrors from this block
-                for i in range(start, stop):
-                    rs = list(map(repr, re[i, i:].tolist()))
-                    ims = list(map(repr, im[i, i:].tolist()))
-                    ses = list(map(repr, se[i, i:].tolist()))
-                    # columns < start, then start..i-1, then i..b-1
-                    out.write("".join(spilled[i - start::size]))
-                    out.write("".join(inner[i - start]))
-                    out.write("".join([
-                        f"{i},{j},{r},{m},{e}\n"
-                        for j, r, m, e in zip(range(i, b), rs, ims, ses)]))
-                    lo = i + 1
-                    mirror = [
-                        f"{j},{i},{r},{m[1:] if m[0] == '-' else '-' + m},{e}\n"
-                        for j, r, m, e in zip(range(lo, b), rs[1:], ims[1:],
-                                              ses[1:])]
-                    exact = ((re_bits[i, lo:] == re_bits[lo:, i])
-                             & (se_bits[i, lo:] == se_bits[lo:, i])
-                             & (im_bits[lo:, i] == im_bits[i, lo:] ^ _SIGN_BIT)
-                             & ~np.isnan(im[i, lo:]))
-                    for k in np.flatnonzero(~exact).tolist():
-                        j = lo + k
-                        mirror[k] = "%r,%r,%r,%r,%r\n" % (
-                            j, i, re[j, i].item(), im[j, i].item(),
-                            se[j, i].item())
-                    for row, line in zip(inner[lo - start:], mirror):
-                        row.append(line)
-                    for later, fh in enumerate(spills[n:], start=n + 1):
-                        first = starts[later] - lo
-                        fh.write("".join(mirror[first:first + DENSITY_BLOCK]))
-    finally:
-        for fh in spills:
-            fh.close()
+    index = np.arange(b)
+    with _whole_file(path, "xb") as out:
+        out.write(_csv_header(config, ["i", "j", "re", "im", "std_error"],
+                              master_seed).encode("ascii"))
+        for start in range(0, b, DENSITY_ROWS):
+            rows = slice(start, start + DENSITY_ROWS)
+            i = index[rows]
+            out.write(csv_lines([np.repeat(i, b), np.tile(index, len(i)),
+                                 ent.real[rows].ravel(), ent.imag[rows].ravel(),
+                                 se[rows].ravel()]))
 
 
 def _initial_state(config: ExperimentConfig, section: dict):

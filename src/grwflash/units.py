@@ -128,8 +128,10 @@ class UnitSystem:
     M0: float = 1.0
 
     def __post_init__(self):
-        if not (self.L0 > 0 and self.T0 > 0 and self.M0 > 0):
-            raise ValueError("unit scales must be strictly positive")
+        for name in ("L0", "T0", "M0"):
+            if not 0 < getattr(self, name) < math.inf:  # nan fails it
+                raise ValueError(f"unit scale {name} must be positive and "
+                                 f"finite, got {getattr(self, name)}")
 
     @staticmethod
     def natural(params: PhysicalParams, T0: float = 1.0) -> "UnitSystem":

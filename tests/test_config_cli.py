@@ -496,6 +496,31 @@ tolerance = 1e-3
         assert all((tmp_path / sub / name).exists() for name in names)
 
 
+def test_cli_analytic_commands_refuse_non_finite_inputs(tmp_path, capsys):
+    # nan passes a "< 0" test: kernel wrote a nan row with exit 0, scan and
+    # potential failed with a quadrature message; an infinite tolerance gave
+    # a kernel table with exit 0
+    cases = [
+        ("kernel", "[kernel]\nseparations = 0.5, nan\n", [],
+         "separation must be nonnegative and finite, got nan"),
+        ("kernel", "[kernel]\nseparations = 0.5\n", ["--tolerance", "inf"],
+         "rel_tol must be positive and finite, got inf"),
+        ("scan", "[scan]\nseparation = nan\nlambda_grid = 1.0, 2.0\n", [],
+         "separation must be nonnegative and finite, got nan"),
+        ("potential", "[potential]\nd_values = 1.0, nan\n", [],
+         "distance must be nonnegative and finite, got nan"),
+    ]
+    for k, (sub, section, flags, says) in enumerate(cases):
+        cfg = write(tmp_path, MINIMAL + "\n" + section, name=f"{k}.cfg")
+        out = tmp_path / f"out{k}"
+        code = main(["--config", str(cfg), "--out-dir", str(out), *flags, sub])
+        err = capsys.readouterr().err
+        assert code == 2, (sub, section)
+        assert err.startswith("error: ") and says in err, err
+        assert "quadrature" not in err, err
+        assert list(out.iterdir()) == [], (sub, section)
+
+
 def test_cli_out_dir_env_var(tmp_path, monkeypatch):
     cfg = write(tmp_path, MINIMAL + "\n[potential]\nd_values = 5.0\n")
     target = tmp_path / "envout"

@@ -1,13 +1,12 @@
-"""density_matrix.csv: the pair-once writer against the row-by-row reference."""
+"""density_matrix.csv: the block writer against the row-by-row reference."""
 
-import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from grwflash import cli
-from grwflash.cli import DENSITY_BLOCK, _write_density_csv, main
+from grwflash.cli import DENSITY_ROWS, _write_density_csv, main
 from grwflash.config import load_config, params_hash
 from grwflash.dynamics import EvolutionConfig, run_ensemble
 from grwflash.state import make_gaussian_packet
@@ -84,16 +83,16 @@ def test_real_ensemble_matches_reference(tmp_path, n_particles, n_points):
     assert_same_bytes(tmp_path, config, ent, se)
 
 
-@pytest.mark.parametrize("b", [1, DENSITY_BLOCK - 1, DENSITY_BLOCK, 100,
-                               2 * DENSITY_BLOCK + 2])
+@pytest.mark.parametrize("b", [1, DENSITY_ROWS - 1, DENSITY_ROWS,
+                               DENSITY_ROWS + 1, 2 * DENSITY_ROWS + 2])
 def test_hermitian_blocks_match_reference(tmp_path, b):
-    # below, at and across one and two spill blocks
+    # below, at and across one and two blocks of rows
     ent, se = random_hermitian(b, seed=b)
     assert_same_bytes(tmp_path, make_config(tmp_path), ent, se, master_seed=None)
 
 
 def test_every_fallback_matches_reference(tmp_path):
-    b = 2 * DENSITY_BLOCK + 5
+    b = 133  # sixteen whole blocks of rows and part of one more
     rng = np.random.default_rng(11)
     ent, se = random_hermitian(b, seed=12)
     scales = rng.choice([1e16, 3e16, 1e-4, 7e-5, 5e-324, 1e-310, 1.0], (b, b))
@@ -135,7 +134,7 @@ def test_non_contiguous_and_real_input_match_reference(tmp_path):
 
 
 def test_writer_memory_is_bounded(tmp_path):
-    # the mirror triangle held as strings would need several times this
+    # b = 1024: the whole CSV is 80 MB, one block's text well under 1 MiB
     ent, se = random_hermitian(1024, seed=1)
     tracemalloc.start()
     try:
@@ -150,42 +149,31 @@ def test_writer_memory_is_bounded(tmp_path):
 
 
 def test_failed_write_leaves_no_spill_file(tmp_path, monkeypatch):
-    b = 2 * DENSITY_BLOCK + 2
+    # no spill file and no partial CSV: the output directory stays empty
+    b = 2 * DENSITY_ROWS + 2
     ent, se = random_hermitian(b, seed=4)
     config = make_config(tmp_path)
     out = tmp_path / "out"
     out.mkdir()
-    opened, calls = [], []
-    temporary_file = tempfile.TemporaryFile
+    calls = []
+    csv_lines = cli.csv_lines
 
-    def recording_temporary_file(*args, **kwargs):
-        fh = temporary_file(*args, **kwargs)
-        opened.append(fh)
-        return fh
-
-    # three reprs per upper entry: fail in row DENSITY_BLOCK + 5, after the
-    # second block's spill file was read back, while the third one's is open
-    fail_after = 3 * sum(b - i for i in range(DENSITY_BLOCK + 5))
-
-    def failing_repr(value):
+    def failing_csv_lines(columns):
         calls.append(1)
-        if len(calls) > fail_after:
+        if len(calls) == 3:
             raise RuntimeError("injected failure")
-        return repr(value)
+        return csv_lines(columns)
 
-    monkeypatch.setattr(tempfile, "TemporaryFile", recording_temporary_file)
-    monkeypatch.setattr(cli, "repr", failing_repr, raising=False)
+    monkeypatch.setattr(cli, "csv_lines", failing_csv_lines)
     with pytest.raises(RuntimeError, match="injected failure"):
         _write_density_csv(out / "density_matrix.csv", config, ent, se, 1)
-    assert len(opened) == 2
-    assert len(calls) == fail_after + 1
-    assert all(fh.closed for fh in opened)
+    assert len(calls) == 3
     assert sorted(p.name for p in out.iterdir()) == []
 
 
 def test_cli_ensemble_leaves_only_its_outputs(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(CONFIG.format(n_points=DENSITY_BLOCK + 6, masses="1.0")
+    cfg.write_text(CONFIG.format(n_points=70, masses="1.0")
                    + "\n[ensemble]\nn_traj = 4\ntotal_time = 0.5\n")
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out-dir", str(out), "ensemble"]) == 0

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grwflash.analysis import QuadratureSpec
 from grwflash.dynamics import EvolutionConfig
 from grwflash.state import GridSpec
 from grwflash.units import (
@@ -137,6 +138,13 @@ NON_FINITE_FIELDS = {
     "spacing": ("spacing", lambda v: GridSpec(1, 8, v, (0.0,))),
     "origin": ("origin", lambda v: GridSpec(3, 8, 0.5, (0.0, v, 0.0))),
     "width": ("width", lambda v: Smearing.gaussian(v)),
+    "domain_margin": ("domain_margin",
+                      lambda v: QuadratureSpec(domain_margin=6.5 + v)),
+    "rel_tol": ("rel_tol", lambda v: QuadratureSpec(rel_tol=v)),
+    "abs_tol": ("abs_tol", lambda v: QuadratureSpec(abs_tol=v)),
+    "L0": ("L0", lambda v: UnitSystem(L0=v)),
+    "T0": ("T0", lambda v: UnitSystem(T0=v)),
+    "M0": ("M0", lambda v: UnitSystem(M0=v)),
 }
 
 
