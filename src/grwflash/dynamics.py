@@ -21,7 +21,11 @@ per-thread pool of Philox generators re-keyed to their streams, not from a
 new generator each.  ``run_trajectory`` is the one-row case.  An ensemble
 runs one lockstep per group of consecutive BATCH_SIZE-row batches, up to
 LOCKSTEP_AMPLITUDES amplitudes, and reduces each batch to its projector sum
-V^T conj(V) and |.|^2 sum with ``einsum``, which makes no BLAS call.
+V^T conj(V) and |.|^2 sum by BLAS products (dsyrk and dgemm through numpy's
+``@``).  OpenBLAS shares these products among its threads by blocks of the
+output, so each entry sums the batch's rows in the same order whatever the
+thread count; a tier-1 test checks that an ensemble is bitwise the same
+under one and two OpenBLAS threads.
 
 The oracle solves the corresponding master equation
 
@@ -390,12 +394,12 @@ class EnsembleResult:
 
     Trajectories run in fixed batches (independent of worker count),
     advanced in lockstep groups of consecutive batches, each batch reduced
-    to its projector sum with ``einsum``.  ``split_sums[s]`` is the sum over the batches whose index
-    has bit s clear, for s < floor(log2(len(batch_sizes))): the half-split
-    sums that feed the trace-distance noise estimate, accumulated while the
-    run goes, so memory does not grow with the batch count.  ``entry_se``
-    is the elementwise Monte Carlo standard error of the density-matrix
-    entries.
+    to its projector and |.|^2 sums by BLAS products.  ``split_sums[s]`` is
+    the sum over the batches whose index has bit s clear, for
+    s < floor(log2(len(batch_sizes))): the half-split sums that feed the
+    trace-distance noise estimate, accumulated while the run goes, so
+    memory does not grow with the batch count.  ``entry_se`` is the
+    elementwise Monte Carlo standard error of the density-matrix entries.
     """
 
     rho: DensityMatrix
@@ -417,11 +421,11 @@ BATCH_SIZE = 64  # trajectories per reduction batch, whatever the worker count
 LOCKSTEP_AMPLITUDES = 2**14
 
 
-def _position_means(amps: np.ndarray, grid: GridSpec, n_particles: int):
-    """``expectation_position`` of every particle, for a stack of states."""
+def _position_means(prob: np.ndarray, grid: GridSpec, n_particles: int):
+    """``expectation_position`` of every particle, for a stack of |psi|^2
+    arrays of shape (rows, *joint_shape)."""
     dim = grid.dim
-    prob = np.abs(amps) ** 2
-    out = np.empty((amps.shape[0], n_particles, dim))
+    out = np.empty((prob.shape[0], n_particles, dim))
     for k in range(n_particles):
         dens = grid.marginal(prob, k, n_particles)
         for a in range(dim):
@@ -444,24 +448,28 @@ def _trajectory_batch(args):
         rows = slice(start - first, stop - first)
         v = final[rows].reshape(stop - start, -1)
         a = np.abs(v) ** 2
-        means = _position_means(final[rows], psi0.grid, psi0.n_particles)
-        out.append((_projector_sum(v), np.einsum("bi,bj->ij", a, a),
-                    counts[rows], means))
+        means = _position_means(
+            a.reshape(final[rows].shape), psi0.grid, psi0.n_particles
+        )
+        out.append((_projector_sum(v), a.T @ a, counts[rows], means))
     return out
 
 
 def _projector_sum(v: np.ndarray) -> np.ndarray:
-    """sum_b v_b v_b^dag over the rows of v, exactly Hermitian, without BLAS.
+    """sum_b v_b v_b^dag over the rows of v, exactly Hermitian.
 
     With v = x + i y, the real part is [x; y]^T [x; y] and the imaginary
-    part is w - w^T with w = y^T x: two real ``einsum`` products, cheaper
-    than one complex ``einsum``.
+    part is w - w^T with w = y^T x.  numpy sends xy^T @ xy, an array's
+    transpose times itself, to dsyrk and mirrors its upper triangle, so the
+    real part is exactly symmetric, and w - w^T is exactly antisymmetric
+    whatever dgemm returns; one complex product would not be exactly
+    Hermitian.
     """
     xy = np.concatenate([v.real, v.imag])
     x, y = xy[:len(v)], xy[len(v):]
     out = np.empty((v.shape[1],) * 2, dtype=np.complex128)
-    out.real = np.einsum("bi,bj->ij", xy, xy)
-    w = np.einsum("bi,bj->ij", y, x)
+    out.real = xy.T @ xy
+    w = y.T @ x
     np.subtract(w, w.T, out=out.imag)
     return out
 

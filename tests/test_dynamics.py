@@ -1,15 +1,20 @@
 import copy
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.stats import chi2, poisson
 
+import grwflash
 from grwflash.collapse import apply_collapse, next_flash, rng_stream, sample_flash_position
 from grwflash.dynamics import (
     BATCH_SIZE,
@@ -472,6 +477,68 @@ def test_ensemble_worker_count_invariance():
                       batch_size=2)
     assert np.array_equal(r1.rho.entries, r2.rho.entries)
     assert np.array_equal(r1.flash_counts, r2.flash_counts)
+
+
+@pytest.mark.parametrize("b", [1, 64, 1024])
+def test_batch_reduction_matches_outer_product_reference(b, monkeypatch):
+    # the batch's BLAS products against per-row np.outer sums, on random
+    # complex rows standing in for the lockstep's final states
+    import grwflash.dynamics as dynamics
+
+    rng = np.random.default_rng(b)
+    psi0 = SimpleNamespace(grid=None, n_particles=1)
+    monkeypatch.setattr(dynamics, "_position_means", lambda *args: None)
+    for n_rows in (1, 2, 63, 64):
+        v = rng.normal(size=(n_rows, b)) + 1j * rng.normal(size=(n_rows, b))
+        monkeypatch.setattr(dynamics, "_lockstep", lambda *args: (
+            v, np.zeros(n_rows, dtype=int), None, None))
+        [(proj, abs2, _, _)] = dynamics._trajectory_batch(
+            (psi0, None, None, 0, [(0, n_rows)]))
+        a = np.abs(v) ** 2
+        ref_proj = sum(np.outer(row, row.conj()) for row in v)
+        ref_abs2 = sum(np.outer(row, row) for row in a)
+        assert np.max(np.abs(proj - ref_proj)) <= 1e-12 * np.max(np.abs(ref_proj))
+        assert np.max(np.abs(abs2 - ref_abs2)) <= 1e-12 * np.max(ref_abs2)
+        assert np.array_equal(proj, proj.conj().T)
+        assert np.array_equal(abs2, abs2.T)
+
+
+_BLAS_PROBE = """
+import hashlib
+import numpy as np
+from grwflash.dynamics import EvolutionConfig, run_ensemble
+from grwflash.state import GridSpec, WaveFunction, normalize
+from grwflash.units import PhysicalParams
+
+grid = GridSpec.centered(1, 16, 0.5)
+x = grid.axis(0)
+cat = np.exp(-(x - 1.5) ** 2 / 2) + np.exp(-(x + 1.5) ** 2 / 2)
+psi0 = normalize(WaveFunction(grid, 2, np.multiply.outer(cat, np.exp(-x**2 / 2))))
+res = run_ensemble(
+    psi0, PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 2.0)),
+    EvolutionConfig(total_time=1.0, hamiltonian="kinetic"), 130, master_seed=5,
+)
+for array in (res.rho.entries, res.entry_se, res.split_sums):
+    print(hashlib.sha256(array.tobytes()).hexdigest())
+"""
+
+
+def test_ensemble_is_bitwise_independent_of_blas_threads():
+    # b = 16^2 = 256, where OpenBLAS runs the batch products on both threads;
+    # 130 trajectories make two full batches and a two-row one
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("OpenBLAS caps its thread count at the usable cores")
+    src = str(Path(grwflash.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-c", _BLAS_PROBE],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
 
 
 def _ensemble_fields(res):
