@@ -25,7 +25,12 @@ V^T conj(V) and |.|^2 sum by BLAS products (dsyrk and dgemm through numpy's
 ``@``).  OpenBLAS shares these products among its threads by blocks of the
 output, so each entry sums the batch's rows in the same order whatever the
 thread count; a tier-1 test checks that an ensemble is bitwise the same
-under one and two OpenBLAS threads.
+under one and two OpenBLAS threads.  A projector sum is Hermitian, so it is
+kept packed in one real b x b array, Re on and above the diagonal and Im
+below it (``_projector_sum``, ``_unpack``): the totals and the half-split
+sums are added in that form and rho is unpacked once, at the end.  Between
+batches an ensemble holds (2 + n_splits) real b x b arrays: the packed
+total, the |.|^2 total and the n_splits packed half-split sums.
 
 The oracle solves the corresponding master equation
 
@@ -395,10 +400,12 @@ class EnsembleResult:
     Trajectories run in fixed batches (independent of worker count),
     advanced in lockstep groups of consecutive batches, each batch reduced
     to its projector and |.|^2 sums by BLAS products.  ``split_sums[s]`` is
-    the sum over the batches whose index has bit s clear, for
+    the projector sum over the batches whose index has bit s clear, for
     s < floor(log2(len(batch_sizes))): the half-split sums that feed the
     trace-distance noise estimate, accumulated while the run goes, so
-    memory does not grow with the batch count.  ``entry_se`` is the
+    memory does not grow with the batch count.  Each is packed, one real
+    b x b array with Re on and above the diagonal and Im below it
+    (``_unpack`` gives the complex sum).  ``entry_se`` is the
     elementwise Monte Carlo standard error of the density-matrix entries.
     """
 
@@ -419,6 +426,9 @@ BATCH_SIZE = 64  # trajectories per reduction batch, whatever the worker count
 # Amplitudes (rows x basis size) one lockstep group may hold: consecutive
 # batches share one lockstep while they fit, and a group holds at least one.
 LOCKSTEP_AMPLITUDES = 2**14
+# Side of the squares in which a packed sum is built and unpacked: each
+# square's transpose is read while it is in cache.
+PACK_TILE = 128
 
 
 def _position_means(prob: np.ndarray, grid: GridSpec, n_particles: int):
@@ -456,21 +466,60 @@ def _trajectory_batch(args):
 
 
 def _projector_sum(v: np.ndarray) -> np.ndarray:
-    """sum_b v_b v_b^dag over the rows of v, exactly Hermitian.
+    """sum_b v_b v_b^dag over the rows of v, packed (see ``_unpack``).
 
     With v = x + i y, the real part is [x; y]^T [x; y] and the imaginary
     part is w - w^T with w = y^T x.  numpy sends xy^T @ xy, an array's
     transpose times itself, to dsyrk and mirrors its upper triangle, so the
-    real part is exactly symmetric, and w - w^T is exactly antisymmetric
-    whatever dgemm returns; one complex product would not be exactly
-    Hermitian.
+    real part is exactly symmetric and its upper triangle (with the
+    diagonal) holds all of it.  Its strict lower triangle is overwritten
+    with that of w - w^T, one PACK_TILE square at a time so that the
+    transposed reads stay in cache.  The other half of w - w^T is the exact
+    negative of this one, so the packed sum is exactly Hermitian; one
+    complex product would not be.
     """
     xy = np.concatenate([v.real, v.imag])
     x, y = xy[:len(v)], xy[len(v):]
-    out = np.empty((v.shape[1],) * 2, dtype=np.complex128)
-    out.real = xy.T @ xy
+    out = xy.T @ xy
     w = y.T @ x
-    np.subtract(w, w.T, out=out.imag)
+    for i in range(0, len(out), PACK_TILE):
+        rows = slice(i, i + PACK_TILE)
+        for j in range(0, i, PACK_TILE):
+            cols = slice(j, j + PACK_TILE)
+            np.subtract(w[rows, cols], w[cols, rows].T, out=out[rows, cols])
+        diff = w[rows, rows] - w[rows, rows].T
+        np.copyto(out[rows, rows], diff,
+                  where=np.tri(len(diff), k=-1, dtype=bool))
+    return out
+
+
+def _unpack(packed: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """The complex Hermitian matrix scale * rho from its packed form P.
+
+    P holds Re rho on and above the diagonal and Im rho below it:
+    P[i, j] = Re rho[i, j] for i <= j and P[i, j] = Im rho[i, j] for i > j.
+    Each PACK_TILE square below the diagonal fills itself and its mirror
+    image.  An exactly zero Im comes out as +0.0 on both sides of the
+    diagonal ("+ 0.0" and "0.0 -" make it so).
+    """
+    b = len(packed)
+    out = np.empty((b, b), dtype=np.complex128)
+    re, im = out.real, out.imag
+    for i in range(0, b, PACK_TILE):
+        rows = slice(i, i + PACK_TILE)
+        for j in range(0, i, PACK_TILE):
+            cols = slice(j, j + PACK_TILE)
+            lower = packed[rows, cols] * scale     # Im rho[rows, cols]
+            upper = packed[cols, rows] * scale     # Re rho[cols, rows]
+            re[rows, cols] = upper.T
+            im[rows, cols] = lower + 0.0
+            re[cols, rows] = upper
+            im[cols, rows] = 0.0 - lower.T
+        diag = packed[rows, rows] * scale
+        below = np.tri(len(diag), k=-1, dtype=bool)
+        re[rows, rows] = np.where(below, diag.T, diag)
+        lower = np.where(below, diag, 0.0)
+        im[rows, rows] = lower - lower.T + 0.0
     return out
 
 
@@ -503,8 +552,9 @@ def run_ensemble(
     worker per core; a negative count is an error).  Consecutive batches
     run in one lockstep group while the group holds at most
     LOCKSTEP_AMPLITUDES amplitudes; grouping changes no row, so no result.
-    Batch sums are added into the totals as they arrive, so a serial run
-    holds one group's sums at a time.
+    Batch sums are added, packed, into the totals as they arrive, and each
+    is dropped before the next batch is computed, so a serial run holds one
+    group's sums at a time.
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories")
@@ -526,14 +576,13 @@ def run_ensemble(
     if workers == 0:
         workers = os.cpu_count() or 1
     n_splits = len(bounds).bit_length() - 1
-    outer_total = np.zeros((b, b), dtype=np.complex128)
+    outer_total = np.zeros((b, b))
     abs2_total = np.zeros((b, b))
-    split_sums = np.zeros((n_splits, b, b), dtype=np.complex128)
+    split_sums = np.zeros((n_splits, b, b))
     counts = []
     means = []
-    for index, (outer_sum, abs2_sum, cnt, mean) in enumerate(
-        _batches(tasks, workers)
-    ):
+    index = 0
+    for outer_sum, abs2_sum, cnt, mean in _batches(tasks, workers):
         outer_total += outer_sum
         abs2_total += abs2_sum
         for s in range(n_splits):
@@ -541,12 +590,24 @@ def run_ensemble(
                 split_sums[s] += outer_sum
         counts.append(cnt)
         means.append(mean)
+        # free this batch's sums before the generator computes the next
+        del outer_sum, abs2_sum
+        index += 1
 
-    rho_entries = outer_total / n_traj
-    var = np.maximum(abs2_total - n_traj * np.abs(rho_entries) ** 2, 0.0)
-    entry_se = np.sqrt(var / (n_traj - 1) / n_traj)
+    # scaled by 1.0 / n, not divided by n: numpy divides a complex array by
+    # a real one through the reciprocal, so rho is bitwise the complex mean
+    rho = DensityMatrix(psi0.grid, psi0.n_particles,
+                        _unpack(outer_total, 1.0 / n_traj))
+    del outer_total
+    # entry_se = sqrt(max(abs2_total - n |rho|^2, 0) / (n - 1) / n), in place
+    entry_se = abs2_total
+    entry_se -= n_traj * np.abs(rho.entries) ** 2
+    np.maximum(entry_se, 0.0, out=entry_se)
+    entry_se /= n_traj - 1
+    entry_se /= n_traj
+    np.sqrt(entry_se, out=entry_se)
     return EnsembleResult(
-        rho=DensityMatrix(psi0.grid, psi0.n_particles, rho_entries),
+        rho=rho,
         flash_counts=np.concatenate(counts),
         mean_positions=np.concatenate(means, axis=0),
         entry_se=entry_se,
@@ -572,10 +633,12 @@ def trace_distance_se(result: EnsembleResult) -> float:
     grid, n_part = result.rho.grid, result.rho.n_particles
     total = result.rho.entries * result.n_traj
     estimates = []
-    for s, sum_a in enumerate(result.split_sums):
+    for s, packed in enumerate(result.split_sums):
         n_a = sizes[(np.arange(len(sizes)) >> s) & 1 == 0].sum()
-        rho_a = sum_a / n_a
-        rho_b = (total - sum_a) / (result.n_traj - n_a)
+        rho_a = _unpack(packed)            # sum_A, until divided by n_a
+        rho_b = total - rho_a
+        rho_b /= result.n_traj - n_a
+        rho_a /= n_a
         td = trace_distance(
             DensityMatrix(grid, n_part, rho_a), DensityMatrix(grid, n_part, rho_b)
         )

@@ -492,8 +492,9 @@ def test_batch_reduction_matches_outer_product_reference(b, monkeypatch):
         v = rng.normal(size=(n_rows, b)) + 1j * rng.normal(size=(n_rows, b))
         monkeypatch.setattr(dynamics, "_lockstep", lambda *args: (
             v, np.zeros(n_rows, dtype=int), None, None))
-        [(proj, abs2, _, _)] = dynamics._trajectory_batch(
+        [(packed, abs2, _, _)] = dynamics._trajectory_batch(
             (psi0, None, None, 0, [(0, n_rows)]))
+        proj = dynamics._unpack(packed)
         a = np.abs(v) ** 2
         ref_proj = sum(np.outer(row, row.conj()) for row in v)
         ref_abs2 = sum(np.outer(row, row) for row in a)
@@ -501,6 +502,61 @@ def test_batch_reduction_matches_outer_product_reference(b, monkeypatch):
         assert np.max(np.abs(abs2 - ref_abs2)) <= 1e-12 * np.max(ref_abs2)
         assert np.array_equal(proj, proj.conj().T)
         assert np.array_equal(abs2, abs2.T)
+
+
+@pytest.mark.parametrize("b", [1, 2, 65, 300])
+def test_packed_batch_sum_is_bitwise_the_complex_split(b):
+    # the packed sum, unpacked, against the complex layout it replaces: the
+    # mirrored dsyrk sum as the real part and w - w^T as the imaginary part
+    import grwflash.dynamics as dynamics
+
+    rng = np.random.default_rng(b)
+    for n_rows in (1, 64):
+        v = rng.normal(size=(n_rows, b)) + 1j * rng.normal(size=(n_rows, b))
+        xy = np.concatenate([v.real, v.imag])
+        w = xy[n_rows:].T @ xy[:n_rows]
+        ref = np.empty((b, b), dtype=np.complex128)
+        ref.real = xy.T @ xy
+        np.subtract(w, w.T, out=ref.imag)
+        got = dynamics._unpack(dynamics._projector_sum(v))
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_real_ensemble_has_no_negative_zero_imaginary_part():
+    # G = 0 and no H0 keep every amplitude real, with a negative lobe: each
+    # Im rho is exactly zero and must read +0.0 on both triangles.  b = 160
+    # spans an off-diagonal PACK_TILE square as well as diagonal ones.
+    grid = GridSpec.centered(1, 160, 0.1)
+    x = grid.axis(0)
+    psi0 = normalize(WaveFunction(grid, 1, np.exp(-(x - 1) ** 2)
+                                  - np.exp(-(x + 1) ** 2)))
+    params = dimensionless_params(lam=1.0, r_G=0.0)
+    res = run_ensemble(psi0, params, EvolutionConfig(total_time=1.0), 130, 3)
+    assert np.all(res.rho.entries.imag == 0.0)
+    assert not np.signbit(res.rho.entries.imag).any()
+    assert np.any(res.rho.entries.real < 0.0)
+
+
+def test_ensemble_memory_is_bounded():
+    # b = 1024 and 130 trajectories: three batches and one half-split sum.
+    # Packed, the total, the |.|^2 total and the split sum are three real
+    # b x b arrays; a batch in flight adds two and the complex rho two.
+    # The bound is 9 of them: complex accumulators, with the previous
+    # batch held while the next one is computed, reach 13.
+    grid = GridSpec.centered(1, 32, 0.5)
+    x = grid.axis(0)
+    cat = np.exp(-(x - 2) ** 2 / 2) + np.exp(-(x + 2) ** 2 / 2)
+    psi0 = normalize(WaveFunction(grid, 2, np.multiply.outer(cat, np.exp(-x**2 / 2))))
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 1.0))
+    tracemalloc.start()
+    try:
+        res = run_ensemble(psi0, params, EvolutionConfig(total_time=1.0), 130, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    b = res.rho.entries.shape[0]
+    assert b == 1024 and len(res.split_sums) == 1
+    assert peak < 9 * b * b * 8
 
 
 _BLAS_PROBE = """
