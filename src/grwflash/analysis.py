@@ -23,9 +23,11 @@ the deficit form.
 The phase is the sharp model's 1/r: under gaussian smearing, whose
 erf(r/w)/r profile is not implemented here, both are refused where eps != 0.
 
-Evaluations cache on (delta, eps, deficit, spec): scans reuse thousands
-of identical points.  Values are deterministic, so concurrent last-writer-
-wins insertion into the cache dict is benign.
+Evaluations cache on (delta, eps, deficit, spec), which serves points
+repeated within one process, such as a library caller asking for the
+same kernel point twice; no CLI command repeats a point, so a CLI run
+never hits it.  Values are deterministic, so concurrent last-writer-wins
+insertion into the cache dict is benign.
 """
 
 from __future__ import annotations
@@ -192,17 +194,16 @@ def gamma_at_separation(
     separation: float,
     params: PhysicalParams,
     spec: QuadratureSpec = QuadratureSpec(),
-    particle: int = 0,
 ) -> KernelPoint:
-    """Gamma for a pair a distance `separation` apart (isotropy makes the
-    direction irrelevant)."""
+    """Gamma for a pair a distance `separation` apart, with particle 0's
+    eps = r_G(0, 0)/r_C (isotropy makes the direction irrelevant)."""
     delta = _delta(separation, params)
     if delta == 0.0:
         # The phase difference vanishes identically and the Gaussian weight
         # is normalized, so the kernel is exactly 1 on the diagonal.
         return KernelPoint(1.0 + 0.0j, 0.0, 0)
     damp = math.exp(-(delta**2) / 4.0)
-    eps = params.epsilon(particle, particle)
+    eps = params.epsilon(0, 0)
     if eps == 0.0:
         # Without gravity the phase vanishes: Gamma is the closed form.
         return KernelPoint(damp + 0.0j, 0.0, 0)
@@ -230,7 +231,6 @@ def gamma_deficit(
     separation: float,
     params: PhysicalParams,
     spec: QuadratureSpec | None = None,
-    particle: int = 0,
 ) -> KernelPoint:
     """Gamma_0 - Gamma with *relative* accuracy on the small difference.
 
@@ -240,7 +240,7 @@ def gamma_deficit(
     if spec is None:
         spec = QuadratureSpec(rel_tol=1e-3, abs_tol=1e-30)
     delta = _delta(separation, params)
-    eps = params.epsilon(particle, particle)
+    eps = params.epsilon(0, 0)
     if delta == 0.0 or eps == 0.0:
         return KernelPoint(0.0 + 0.0j, 0.0, 0)
     _require_sharp(params)
@@ -551,7 +551,6 @@ class ScanResult:
 
 def falsifiability_scan(
     separation: float,
-    r_C: float,
     lambda_grid,
     params: PhysicalParams,
     tolerance: float = 1e-3,
@@ -565,12 +564,11 @@ def falsifiability_scan(
     lams = np.asarray(lambda_grid, dtype=float)
     if np.any(lams <= 0) or np.any(np.diff(lams) <= 0):
         raise ValueError("lambda_grid must be positive and strictly increasing")
-    base = replace(params, r_C=r_C)
     intrinsic = []
     excess = []
     errors = []
     for lam in lams:
-        p = replace(base, lam=lam)
+        p = replace(params, lam=lam)
         intrinsic.append(intrinsic_rate(separation, p))
         if p.G == 0:
             excess.append(0.0)
@@ -584,7 +582,7 @@ def falsifiability_scan(
     excess = np.array(excess)
     return ScanResult(
         separation=separation,
-        r_C=r_C,
+        r_C=params.r_C,
         lambda_grid=lams,
         rates=intrinsic + excess,
         intrinsic=intrinsic,

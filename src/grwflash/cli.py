@@ -188,10 +188,29 @@ def _evolution_config(section: dict) -> EvolutionConfig:
     )
 
 
+# Per subcommand, the config key of its section that each override flag
+# sets; a flag a subcommand does not list here is refused for it.
+_OVERRIDES = {
+    "trajectory": {"seed": "seed"},
+    "ensemble": {"seed": "master_seed", "n_traj": "n_traj"},
+    "verify": {"seed": "master_seed", "n_traj": "n_traj", "tolerance": "se_limit"},
+    "kernel": {"tolerance": "rel_tol"},
+    "slope": {"tolerance": "tolerance"},
+    "scan": {"tolerance": "tolerance"},
+}
+
+
+def _section(config: ExperimentConfig, args) -> dict:
+    """The subcommand's config section with its override flags applied."""
+    sec = dict(config.section(args.subcommand))
+    for flag, key in _OVERRIDES.get(args.subcommand, {}).items():
+        if getattr(args, flag) is not None:
+            sec[key] = getattr(args, flag)
+    return sec
+
+
 def _cmd_trajectory(config, args, out_dir):
-    sec = dict(config.section("trajectory"))
-    if args.seed is not None:
-        sec["seed"] = args.seed
+    sec = _section(config, args)
     psi0 = _initial_state(config, sec)
     evo = _evolution_config(sec)
     traj = run_trajectory(psi0, config.params, evo, sec["seed"], sec["master_seed"])
@@ -211,11 +230,7 @@ def _cmd_trajectory(config, args, out_dir):
 
 
 def _cmd_ensemble(config, args, out_dir):
-    sec = dict(config.section("ensemble"))
-    if args.seed is not None:
-        sec["master_seed"] = args.seed
-    if args.n_traj is not None:
-        sec["n_traj"] = args.n_traj
+    sec = _section(config, args)
     psi0 = _initial_state(config, sec)
     evo = _evolution_config(sec)
     result = run_ensemble(
@@ -246,13 +261,7 @@ def _cmd_ensemble(config, args, out_dir):
 
 
 def _cmd_verify(config, args, out_dir):
-    sec = dict(config.section("verify"))
-    if args.seed is not None:
-        sec["master_seed"] = args.seed
-    if args.n_traj is not None:
-        sec["n_traj"] = args.n_traj
-    if args.tolerance is not None:
-        sec["se_limit"] = args.tolerance
+    sec = _section(config, args)
     psi0 = _initial_state(config, sec)
     evo = _evolution_config(sec)
     report, result, _oracle = ensemble_vs_master_check(
@@ -275,9 +284,8 @@ def _cmd_verify(config, args, out_dir):
 
 
 def _cmd_kernel(config, args, out_dir):
-    sec = config.section("kernel")
-    rel_tol = args.tolerance if args.tolerance is not None else sec["rel_tol"]
-    spec = QuadratureSpec(rel_tol=rel_tol, abs_tol=sec["abs_tol"])
+    sec = _section(config, args)
+    spec = QuadratureSpec(rel_tol=sec["rel_tol"], abs_tol=sec["abs_tol"])
     path = os.path.join(out_dir, "kernel.csv")
     points = [gamma_at_separation(s, config.params, spec)
               for s in sec["separations"]]
@@ -290,9 +298,9 @@ def _cmd_kernel(config, args, out_dir):
 
 
 def _cmd_slope(config, args, out_dir):
-    sec = config.section("slope")
-    tol = args.tolerance if args.tolerance is not None else sec["tolerance"]
-    fit = short_distance_rate(config.params, sec["separations"], tolerance=tol)
+    sec = _section(config, args)
+    fit = short_distance_rate(config.params, sec["separations"],
+                              tolerance=sec["tolerance"])
     path = os.path.join(out_dir, "slope.csv")
     _write_csv(path, config, ["separation", "excess_rate", "error"],
                zip(fit.separations.tolist(), fit.excess.tolist(),
@@ -312,7 +320,7 @@ def _cmd_slope(config, args, out_dir):
 
 
 def _cmd_potential(config, args, out_dir):
-    sec = config.section("potential")
+    sec = _section(config, args)
     rows = effective_potential_check(sec["d_values"], config.params)
     path = os.path.join(out_dir, "potential.csv")
     _write_csv(path, config,
@@ -325,11 +333,10 @@ def _cmd_potential(config, args, out_dir):
 
 
 def _cmd_scan(config, args, out_dir):
-    sec = config.section("scan")
-    tol = args.tolerance if args.tolerance is not None else sec["tolerance"]
+    sec = _section(config, args)
     result = falsifiability_scan(
-        sec["separation"], config.params.r_C, sec["lambda_grid"],
-        config.params, tolerance=tol,
+        sec["separation"], sec["lambda_grid"], config.params,
+        tolerance=sec["tolerance"],
     )
     path = os.path.join(out_dir, "scan.csv")
     _write_csv(path, config,
@@ -398,6 +405,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     if args.threads < 0:
         print(f"error: --threads must be nonnegative, got {args.threads}",
+              file=sys.stderr)
+        return 2
+    reads = _OVERRIDES.get(args.subcommand, {})
+    unread = [f"--{flag.replace('_', '-')}" for flag in ("seed", "n_traj", "tolerance")
+              if getattr(args, flag) is not None and flag not in reads]
+    if unread:
+        print(f"error: {args.subcommand} does not read {', '.join(unread)}",
               file=sys.stderr)
         return 2
     try:

@@ -7,7 +7,7 @@ by the Gaussian localizer
 
 and the squared norm of the unnormalized result is the probability density
 for x_f.  The grid is a periodic box: x_k - x_f is the minimum-image
-displacement (``GridSpec.min_image``), as in the oracle's kernels and the
+displacement (``GridSpec.offsets``), as in the oracle's kernels and the
 gravitational kick.  Flash positions are kept in the continuum (never
 snapped to the grid) and drawn from the discrete model's Born law,
 sum_i p_i N(x_i, r_C^2/2) wrapped onto the box: a node i with its
@@ -23,11 +23,12 @@ N*lam; the flashing particle is uniform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .state import GridSpec, WaveFunction, position_density
+from .state import WaveFunction, position_density
 
 
 @dataclass(frozen=True)
@@ -66,22 +67,15 @@ def next_flash(
     return float(dt), int(rng.integers(n_particles))
 
 
-def collapse_factor(grid: GridSpec, x_f: np.ndarray, r_C: float) -> np.ndarray:
-    """L_k values on the particle grid for a flash at x_f.
+def collapse_factor(offsets, r_C: float) -> np.ndarray:
+    """L_k values on the particle grid for flashes at the given ``offsets``.
 
-    ``x_f`` of shape (B, dim) gives B factors stacked on a leading axis,
-    each equal to the one of its row alone.
+    ``offsets`` are ``GridSpec.offsets(x_f)``: for x_f of shape (B, dim)
+    the result holds B factors stacked on a leading axis, each equal to the
+    one of its row alone.
     """
-    x_f = np.atleast_1d(x_f)
-    lead = x_f.shape[:-1]
-    dim = grid.dim
-    prefactor = (np.pi * r_C**2) ** (-dim / 4.0)
-    out = None
-    for a in range(dim):
-        d = grid.min_image(grid.axis(a) - x_f[..., a, None])
-        g = np.exp(-(d**2) / (2 * r_C**2))
-        out = g if out is None else out[..., None] * g.reshape(lead + (1,) * a + (-1,))
-    return prefactor * out
+    prefactor = (np.pi * r_C**2) ** (-len(offsets) / 4.0)
+    return prefactor * math.prod(np.exp(-(d**2) / (2 * r_C**2)) for d in offsets)
 
 
 def apply_collapse(psi: WaveFunction, k: int, x_f, r_C: float) -> WaveFunction:
@@ -97,7 +91,8 @@ def apply_collapse(psi: WaveFunction, k: int, x_f, r_C: float) -> WaveFunction:
     grid = psi.grid
     if x_f.shape != (grid.dim,):
         raise ValueError(f"flash position must have {grid.dim} components")
-    factor = grid.on_particle(collapse_factor(grid, x_f, r_C), k, psi.n_particles)
+    factor = collapse_factor(grid.offsets(x_f), r_C)
+    factor = grid.on_particle(factor, k, psi.n_particles)
     return psi.with_amplitudes(psi.amplitudes * factor)
 
 

@@ -10,8 +10,8 @@ a flash position is sampled from the flash density, and the state undergoes
 operator product U_k L_k).  Everything is deterministic given the Philox
 stream (master seed, trajectory index).  Free flight is exact: the periodic
 kinetic H0 is diagonal in the grid's DFT basis, so each segment between
-flashes, snapshots and T is one FFT, one phase exp(-i E t / hbar) and one
-inverse FFT, whatever its length.
+flashes and T is one FFT, one phase exp(-i E t / hbar) and one inverse
+FFT, whatever its length.
 
 Trajectories run in lockstep (``_lockstep``): a (B, *joint_shape) array
 holds one trajectory per row, and each flash round advances every running
@@ -41,15 +41,16 @@ on the grid: B_k is position-diagonal, so the flash integral collapses to
 an elementwise kernel matrix K_k, a sum over flash nodes with step at most
 r_C/4 (and softening/4 under sharp gravity).  The kernels take B_k's
 factors from the calls a trajectory makes at a flash, ``collapse_factor``
-and ``profile_shape``, evaluated at the nodes, so the two engines share one
-flash operator.  The flash nodes refine the periodic grid by an integer,
-so K_k is unchanged when every particle shifts by one grid step: it is
-built from its M^(2n-1) distinct values, M = n_points^dim, not as a dense
-b x b product.  With H0 = 0 the whole generator is
-elementwise and rho_T = exp(T lam (sum_k K_k - N)) o rho_0 is exact for any
-particle count.  A kinetic H0 adds the commutator, whose exact flow is one
-FFT pair around a phase; the oracle composes the two exact flows by a
-Yoshida triple jump of Strang stages, doubling the step count to tolerance.
+and ``profile_shape`` on ``GridSpec.offsets``, evaluated at the nodes, so
+the two engines share one flash operator.  The flash nodes refine the
+periodic grid by an integer, so K_k is unchanged when every particle
+shifts by one grid step: it is built from its M^(2n-1) distinct values,
+M = n_points^dim, not as a dense b x b product.  With H0 = 0 the whole
+generator is elementwise and rho_T = exp(T lam (sum_k K_k - N)) o rho_0
+is exact for any particle count.  A kinetic H0 adds the commutator, whose
+exact flow is one FFT pair around a phase; the oracle composes the two
+exact flows by a Yoshida triple jump of Strang stages, doubling the step
+count to tolerance.
 Both engines run one discrete model on the periodic box of ``GridSpec``:
 every flash distance, in the collapse factor, the kick and the kernels, is
 a minimum-image distance, and trajectories draw flash positions from the
@@ -107,14 +108,13 @@ class EvolutionConfig:
     H0 = sum over particles and axes of -hbar^2 d^2/(2 m_k dx^2), with the
     masses and hbar of the run's PhysicalParams, diagonal in the grid's DFT
     basis (see ``_kinetic_energies``).  Free flight needs no step size:
-    trajectories propagate exactly once per segment between flashes,
-    snapshots and T.  ``softening`` regularizes the kick phase (None picks
-    spacing/2 at use time).
+    trajectories propagate exactly once per segment between flashes and T.
+    ``softening`` regularizes the kick phase (None picks spacing/2 at use
+    time).
     """
 
     total_time: float
     hamiltonian: str = "none"
-    snapshot_times: tuple[float, ...] = ()
     softening: float | None = None
 
     def __post_init__(self):
@@ -123,11 +123,6 @@ class EvolutionConfig:
                              f"got {self.total_time}")
         if self.hamiltonian not in ("none", "kinetic"):
             raise ValueError(f"unknown hamiltonian {self.hamiltonian!r}")
-        snaps = tuple(sorted(float(t) for t in self.snapshot_times))
-        for t in snaps:
-            if not 0.0 <= t <= self.total_time:
-                raise ValueError(f"snapshot time {t} outside [0, T]")
-        object.__setattr__(self, "snapshot_times", snaps)
         if self.softening is not None and not 0 <= self.softening < math.inf:
             raise ValueError("softening must be nonnegative and finite, "
                              f"got {self.softening}")
@@ -138,11 +133,10 @@ class EvolutionConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One realized unraveling: flash log, optional snapshots, final state."""
+    """One realized unraveling: flash log and final state."""
 
     seed: int
     flashes: tuple[FlashEvent, ...]
-    snapshots: tuple
     final_state: WaveFunction
 
     def __post_init__(self):
@@ -232,20 +226,21 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
     drawn from a re-keyed lane (``_rekeyed_lanes``).  Each round, every
     running row draws its next flash time and particle from its own stream
     (``next_flash``'s draws; the particle only when n > 1, since
-    ``integers(1)`` consumes no bits), flies freely to it (or to
-    T) in exact segments split at the snapshot times, and stops if it is
-    past T; every other row flashes.  A flashing row draws its position as
-    ``sample_flash_position`` does: the single uniform that
-    ``Generator.choice(p=...)`` consumes, turned into a node by the same
-    cdf and right-sided search, then the Gaussian offset, the sum wrapped
-    onto the box by ``GridSpec.wrap``.  The Born marginal and the collapse
-    take one numpy call per particle, over the rows it flashes; the
-    normalization, kick and free flight one call over all the rows they
+    ``integers(1)`` consumes no bits), flies freely to it (or to T) in one
+    exact segment, and stops if it is past T; every other row flashes.  A
+    flashing row draws its position as ``sample_flash_position`` does: the
+    single uniform that ``Generator.choice(p=...)`` consumes, turned into a
+    node by the same cdf and right-sided search, then the Gaussian offset,
+    the sum wrapped onto the box by ``GridSpec.wrap``.  The flash offsets
+    (``GridSpec.offsets``) are computed once per round and feed both the
+    collapse factor and the kick profile.  The Born marginal and the
+    collapse take one numpy call per particle, over the rows it flashes;
+    the normalization, kick and free flight one call over all the rows they
     move.  All use the same elementwise operations as the single-state
     primitives, so each row is bitwise the trajectory it would be alone.
 
     Returns the final amplitudes (len(seeds), *joint_shape), the flash
-    counts and, with ``record``, per-row flash logs and snapshots.
+    counts and, with ``record``, per-row flash logs.
     """
     _check_start(psi0, params)
     grid, n = psi0.grid, params.n_particles
@@ -268,22 +263,10 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
     final = np.empty((len(seeds),) + joint, dtype=np.complex128)
     counts = np.zeros(len(seeds), dtype=np.int64)
     logs = [[] for _ in seeds]
-    shots = [[] for _ in seeds]
-    if record and 0.0 in config.snapshot_times:
-        for shot in shots:
-            shot.append((0.0, psi0))
 
     rows = np.arange(len(seeds))                  # running rows, by seed slot
     amps = np.repeat(psi0.amplitudes[None], len(seeds), axis=0)
     t = np.zeros(len(seeds))
-
-    def fly(at, stop):
-        """Free flight of rows ``at`` from their times to ``stop``."""
-        if energies is not None:
-            phase = np.exp(-1j * (stop - t[at]).reshape(column) * energies)
-            spectral = np.fft.fftn(amps[at], axes=space) * phase
-            amps[at] = np.fft.ifftn(spectral, axes=space)
-        t[at] = stop
 
     while rows.size:
         wait = np.empty(rows.size)
@@ -293,19 +276,12 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
             if n > 1:
                 k[j] = rngs[r].integers(n)
         t_event = t + wait
-        end = np.minimum(t_event, total_time)
-        for stop in config.snapshot_times:
-            at = np.flatnonzero((t < stop) & (stop <= end))
-            if at.size:
-                fly(at, stop)
-                if record:
-                    for j in at:
-                        shots[rows[j]].append(
-                            (stop, psi0.with_amplitudes(amps[j].copy()))
-                        )
         if energies is not None:
+            end = np.minimum(t_event, total_time)
             at = np.flatnonzero(end > t)
-            fly(at, end[at])
+            phase = np.exp(-1j * (end[at] - t[at]).reshape(column) * energies)
+            spectral = np.fft.fftn(amps[at], axes=space) * phase
+            amps[at] = np.fft.ifftn(spectral, axes=space)
 
         done = t_event > total_time
         t = t_event
@@ -336,7 +312,8 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
         picked = np.count_nonzero(cdf <= u[:, None], axis=1)
         x_f = grid.wrap(nodes[picked] + sigma * noise)
 
-        factor = collapse_factor(grid, x_f, params.r_C)
+        offsets = grid.offsets(x_f)
+        factor = collapse_factor(offsets, params.r_C)
         for p in range(n):
             mine = k == p
             amps[mine] *= grid.on_particle(factor[mine], p, n)
@@ -352,7 +329,7 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
             )
         amps /= norms.reshape(column)
         if r_gm is not None:
-            shape = profile_shape(x_f, params, grid, softening)
+            shape = profile_shape(offsets, params, softening)
             scales = r_gm[k]
             total = np.zeros(amps.shape)
             for l in range(n):
@@ -365,7 +342,7 @@ def _lockstep(psi0, params, config, master_seed, seeds, record=False):
             for j, r in enumerate(rows):
                 logs[r].append(FlashEvent(float(t[j]), int(k[j]), x_f[j]))
 
-    return final, counts, logs, shots
+    return final, counts, logs
 
 
 def run_trajectory(
@@ -377,18 +354,15 @@ def run_trajectory(
 ) -> Trajectory:
     """One stochastic trajectory, bitwise deterministic given (seed, master).
 
-    The one-row case of the lockstep stepper, with its flash log and
-    snapshots.  With G = 0 the gravitational kick is the identity and
-    consumes no randomness, so the run reproduces the vanilla GRW process
-    event by event on the same stream.
+    The one-row case of the lockstep stepper, with its flash log.  With
+    G = 0 the gravitational kick is the identity and consumes no
+    randomness, so the run reproduces the vanilla GRW process event by
+    event on the same stream.
     """
-    final, _, logs, shots = _lockstep(
-        psi0, params, config, master_seed, [seed], record=True
-    )
+    final, _, logs = _lockstep(psi0, params, config, master_seed, [seed], record=True)
     return Trajectory(
         seed=seed,
         flashes=tuple(logs[0]),
-        snapshots=tuple(shots[0]),
         final_state=psi0.with_amplitudes(final[0]),
     )
 
@@ -450,7 +424,7 @@ def _trajectory_batch(args):
     to its projector and |.|^2 sums, its flash counts and position means."""
     psi0, params, config, master_seed, bounds = args
     first = bounds[0][0]
-    final, counts, _, _ = _lockstep(
+    final, counts, _ = _lockstep(
         psi0, params, config, master_seed, range(first, bounds[-1][1])
     )
     out = []
@@ -682,7 +656,8 @@ def _kernel_tables(
     tensor factor v[I, f] = prod_l B_l(x_I, x_f) over the flash nodes f and
     v0 its first M^(n-1) rows, one (M^(n-1) x F)(F x M^n) product.  B_k's
     per-particle factors are the ones a trajectory applies at a flash on
-    x_f = f: the localizer ``collapse_factor`` on particle k and
+    x_f = f, from one set of ``GridSpec.offsets`` over the nodes: the
+    localizer ``collapse_factor`` on particle k and
     exp(i r_G(k, l) ``profile_shape``) on every particle l.
     ``_expand`` recovers every other row from these.
     """
@@ -690,8 +665,9 @@ def _kernel_tables(
     nodes, weight = flash_quadrature_grid(grid, params, softening)
     n_nodes, m = nodes.shape[0], grid.basis_size
     # (F, M) as trajectories evaluate them; C-ordered (M, F) rows build v.
-    loc = collapse_factor(grid, nodes, params.r_C).reshape(n_nodes, m).T.copy()
-    profile = profile_shape(nodes, params, grid, softening)
+    offsets = grid.offsets(nodes)
+    loc = collapse_factor(offsets, params.r_C).reshape(n_nodes, m).T.copy()
+    profile = profile_shape(offsets, params, softening)
     profile = profile.reshape(n_nodes, m).T.copy()
     r_gm = params.r_G_matrix()
     tables = []

@@ -9,8 +9,8 @@ unitary.  After particle k flashes at x_f, each particle l picks up the phase
 
 per point x of its grid, with r_G(k, l) = G m_k m_l / (hbar lam).  The field
 itself is never stored: only its time integral (the phase) is physical.
-On the periodic grid |x - x_f| is the minimum-image distance: each point
-feels the flash's nearest image only.
+On the periodic grid |x - x_f| is the minimum-image distance of
+``GridSpec.offsets``: each point feels the flash's nearest image only.
 
 On a lattice the sharp 1/r is undefined at a node coinciding with x_f, so a
 Plummer regulator 1/sqrt(r^2 + a^2) with a of order half a grid cell stands
@@ -121,28 +121,23 @@ def phase_profile(
         raise ValueError(f"flash position must have {grid.dim} components")
     scales = tuple(float(s) for s in params.r_G_matrix()[k])
     return PhaseProfile(
-        shape=profile_shape(x_f, params, grid, softening), pair_scales=scales
+        shape=profile_shape(grid.offsets(x_f), params, softening),
+        pair_scales=scales,
     )
 
 
-def profile_shape(
-    x_f: np.ndarray, params: PhysicalParams, grid: GridSpec, softening: float
-) -> np.ndarray:
-    """The radial profile of ``phase_profile`` for flashes at x_f.
+def profile_shape(offsets, params: PhysicalParams, softening: float) -> np.ndarray:
+    """The radial profile of ``phase_profile`` at the given flash ``offsets``.
 
-    ``x_f`` of shape (B, dim) gives B profiles stacked on a leading axis,
-    each equal to the one of its row alone.
+    ``offsets`` are ``GridSpec.offsets(x_f)``: for x_f of shape (B, dim)
+    the result holds B profiles stacked on a leading axis, each equal to
+    the one of its row alone.
     """
-    lead = x_f.shape[:-1]
-    r2 = None
-    for a, xa in enumerate(grid.axes()):
-        d2 = grid.min_image(xa - x_f[..., a, None]) ** 2
-        r2 = d2 if r2 is None else r2[..., None] + d2.reshape(lead + (1,) * a + (-1,))
-    r = np.sqrt(r2)
+    r = np.sqrt(sum(d**2 for d in offsets))
     if params.smearing.kind != "sharp":
         return smeared_newton_potential(r, params.smearing.width)
     if softening == 0.0:
-        if grid.dim == 1:
+        if len(offsets) == 1:
             raise ValueError("the 1D harness requires softening a > 0")
         if np.min(r) == 0.0:
             raise ValueError(

@@ -10,9 +10,9 @@ sum a marginal out.  The discrete L2 norm is the plain spacing-weighted
 dynamics module.
 The grid is a periodic box, one model for every part of the code: free
 flight is spectral, every flash distance is a minimum-image distance
-(``GridSpec.min_image``) and sampled flash positions are wrapped into the
-box (``GridSpec.wrap``).  Experiments are sized so that wavepacket mass
-near the boundary stays negligible.
+(``GridSpec.offsets``, through ``GridSpec.min_image``) and sampled flash
+positions are wrapped into the box (``GridSpec.wrap``).  Experiments are
+sized so that wavepacket mass near the boundary stays negligible.
 
 Density matrices store kernel values rho(x_i, x_j); their trace is the
 spacing-weighted diagonal sum.  Full matrices are only supported up to
@@ -127,6 +127,21 @@ class GridSpec:
         """Displacements wrapped to their nearest periodic image, [-L/2, L/2)."""
         length = self.extent
         return (d + length / 2.0) % length - length / 2.0
+
+    def offsets(self, x_f: np.ndarray) -> list[np.ndarray]:
+        """Minimum-image displacements x_a - x_f[..., a] from flashes x_f.
+
+        For ``x_f`` of shape (lead..., dim), one array per axis a, of shape
+        lead + (1,) * a + (n_points,) + (1,) * (dim - 1 - a): the axes
+        broadcast together to (lead..., *cell).  These are the distances
+        that the collapse factor, the kick and the oracle's kernels use.
+        """
+        lead = x_f.shape[:-1]
+        d = self.min_image(np.stack(self.axes()) - x_f[..., None])
+        return [
+            d[..., a, :].reshape(lead + (1,) * a + (-1,) + (1,) * (self.dim - 1 - a))
+            for a in range(self.dim)
+        ]
 
     def wrap(self, x: np.ndarray) -> np.ndarray:
         """Positions (..., dim) mapped into the box [origin - spacing/2, + L)."""

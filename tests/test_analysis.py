@@ -423,7 +423,7 @@ def test_scan_components_and_limits():
     params = dimensionless_params(lam=1.0, r_G=1e-4)
     sep = 0.05
     lams = [0.5, 1.0, 2.0, 4.0, 64.0]
-    result = falsifiability_scan(sep, 1.0, lams, params, tolerance=1e-3)
+    result = falsifiability_scan(sep, lams, params, tolerance=1e-3)
     assert np.all(np.diff(result.intrinsic) > 0)
     closed = [lam * -math.expm1(-(sep**2) / 4) for lam in lams]
     assert np.allclose(result.intrinsic, closed, rtol=1e-12)
@@ -436,7 +436,7 @@ def test_scan_components_and_limits():
 
 def test_scan_zero_gravity_excess_column():
     result = falsifiability_scan(
-        0.05, 1.0, [1.0, 2.0], dimensionless_params(lam=1.0, r_G=0.0)
+        0.05, [1.0, 2.0], dimensionless_params(lam=1.0, r_G=0.0)
     )
     assert np.all(result.excess == 0.0)
 
@@ -444,7 +444,7 @@ def test_scan_zero_gravity_excess_column():
 def test_scan_rejects_bad_grid():
     params = dimensionless_params(lam=1.0, r_G=1e-4)
     with pytest.raises(ValueError):
-        falsifiability_scan(0.05, 1.0, [2.0, 1.0], params)
+        falsifiability_scan(0.05, [2.0, 1.0], params)
 
 
 def test_excess_dominates_intrinsic_at_short_distance():

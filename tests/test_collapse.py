@@ -7,6 +7,7 @@ from scipy.stats import chi2, kstwobign
 
 from grwflash.collapse import (
     apply_collapse,
+    collapse_factor,
     flash_position_density,
     next_flash,
     rng_stream,
@@ -22,6 +23,28 @@ def delta_state(grid, index):
     amps = np.zeros(grid.joint_shape(1), dtype=complex)
     amps[index] = 1.0
     return normalize(WaveFunction(grid, 1, amps))
+
+
+def _per_axis_collapse_factor(grid, x_f, r_c):
+    """The localizer with one minimum-image loop of its own, axis by axis."""
+    lead = x_f.shape[:-1]
+    prefactor = (np.pi * r_c**2) ** (-grid.dim / 4.0)
+    out = None
+    for a in range(grid.dim):
+        d = grid.min_image(grid.axis(a) - x_f[..., a, None])
+        g = np.exp(-(d**2) / (2 * r_c**2))
+        out = g if out is None else out[..., None] * g.reshape(lead + (1,) * a + (-1,))
+    return prefactor * out
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_collapse_factor_from_offsets_is_bitwise_the_per_axis_loop(dim):
+    grid = GridSpec.centered(dim, 8, 0.45)
+    rng = np.random.default_rng(dim)
+    for x_f in (rng.uniform(-4.0, 4.0, size=dim), rng.uniform(-4.0, 4.0, size=(6, dim))):
+        for r_c in (R_C, 0.7):
+            out = collapse_factor(grid.offsets(x_f), r_c)
+            assert np.array_equal(out, _per_axis_collapse_factor(grid, x_f, r_c))
 
 
 def test_collapse_on_delta_state_peak_value():

@@ -217,6 +217,32 @@ def test_cli_negative_threads_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_refuses_override_flags_the_subcommand_ignores(tmp_path, capsys):
+    # these ran with exit 0, ignored the flags and still listed them in the
+    # manifest's flags as if they had been used
+    cfg = write(tmp_path, MINIMAL + "\n[kernel]\nseparations = 0.5\n")
+    out = tmp_path / "out"
+    cases = [
+        ("kernel", ["--n-traj", "10", "--seed", "5"], "--seed, --n-traj"),
+        ("ensemble", ["--tolerance", "1e-3"], "--tolerance"),
+        ("trajectory", ["--n-traj", "3"], "--n-traj"),
+        ("potential", ["--tolerance", "1e-3"], "--tolerance"),
+        ("slope", ["--seed", "1"], "--seed"),
+        ("presets", ["--seed", "1"], "--seed"),
+    ]
+    for sub, flags, named in cases:
+        code = main(["--config", str(cfg), "--out-dir", str(out), *flags, sub])
+        err = capsys.readouterr().err
+        assert code == 2, (sub, flags)
+        assert err == f"error: {sub} does not read {named}\n", err
+    assert not out.exists()
+    # a flag the subcommand reads is applied and recorded
+    assert main(["--config", str(cfg), "--out-dir", str(out), "--tolerance",
+                 "1e-6", "kernel"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["flags"]["tolerance"] == 1e-6
+
+
 def test_cli_unusable_out_dir_is_usage_error(tmp_path, capsys):
     # a regular file, or a path below one, cannot hold the outputs
     cfg = write(tmp_path, MINIMAL + "\n[ensemble]\nn_traj = 4\ntotal_time = 0.5\n"

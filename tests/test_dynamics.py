@@ -177,20 +177,6 @@ def test_trajectory_flash_counts_poisson():
     assert stat < chi2.isf(0.01, df=1)
 
 
-def test_trajectory_snapshots():
-    params = dimensionless_params(lam=1.0, r_G=0.1)
-    cfg = EvolutionConfig(total_time=2.0, snapshot_times=(0.0, 1.0, 2.0))
-    traj = run_trajectory(packet(), params, cfg, seed=0, master_seed=1)
-    times = [t for t, _ in traj.snapshots]
-    assert times == [0.0, 1.0, 2.0]
-    assert np.array_equal(
-        traj.snapshots[0][1].amplitudes, packet().amplitudes
-    )
-    assert np.array_equal(
-        traj.snapshots[-1][1].amplitudes, traj.final_state.amplitudes
-    )
-
-
 def test_trajectory_input_validation():
     params = dimensionless_params(lam=1.0, r_G=0.1)
     cfg = EvolutionConfig(total_time=1.0)
@@ -200,8 +186,6 @@ def test_trajectory_input_validation():
     with pytest.raises(ValueError, match="lambda"):
         bad = PhysicalParams(lam=-1.0, r_C=1.0, G=0.0, hbar=1.0, masses=(1.0,))
         run_trajectory(packet(), bad, cfg, seed=0)
-    with pytest.raises(ValueError):
-        EvolutionConfig(total_time=1.0, snapshot_times=(2.0,))
     with pytest.raises(ValueError):
         EvolutionConfig(total_time=-1.0)
     with pytest.raises(ValueError, match="hamiltonian"):
@@ -221,31 +205,6 @@ def test_nan_initial_state_is_refused_as_not_normalized(tmp_path):
             run_trajectory(psi0, params, cfg, seed=0)
         with pytest.raises(ValueError, match="normalized"):
             run_ensemble(psi0, params, cfg, n_traj=4, master_seed=0)
-
-
-def test_trajectory_snapshots_split_flight_in_time_order():
-    # lam T = 0.2: most trajectories fly from 0 to T past every snapshot in
-    # one flight, which must stop at them in time order, once each
-    params = dimensionless_params(lam=0.1, r_G=0.2)
-    snaps = (0.0, 0.5, 1.0, 2.0)
-    cfg = EvolutionConfig(total_time=2.0, hamiltonian="kinetic", snapshot_times=snaps)
-    plain = EvolutionConfig(total_time=2.0, hamiltonian="kinetic")
-    psi0 = make_gaussian_packet(GRID, 1, [[0.0]], [0.75], [[0.5]])
-    n_quiet = 0
-    for seed in range(6):
-        traj = run_trajectory(psi0, params, cfg, seed=seed, master_seed=2)
-        assert tuple(t for t, _ in traj.snapshots) == snaps
-        alone = run_trajectory(psi0, params, plain, seed=seed, master_seed=2)
-        assert traj.flashes == alone.flashes
-        assert np.max(np.abs(
-            traj.final_state.amplitudes - alone.final_state.amplitudes
-        )) < 1e-12
-        if not traj.flashes:
-            n_quiet += 1
-            for t, snap in traj.snapshots:
-                exact = free_step(psi0, params, cfg, t)
-                assert np.max(np.abs(snap.amplitudes - exact.amplitudes)) < 1e-12
-    assert n_quiet > 0
 
 
 def _unwrapped_draw(psi, k, rng, r_c):
@@ -394,7 +353,7 @@ def test_lockstep_rows_match_primitive_reference_loop(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         ref, ref_counts, wrapped = _reference_rows(psi0, params, cfg, 13, range(n_traj))
-        rows, counts, _, _ = _lockstep(psi0, params, cfg, 13, range(n_traj))
+        rows, counts, _ = _lockstep(psi0, params, cfg, 13, range(n_traj))
         res = run_ensemble(psi0, params, cfg, n_traj, master_seed=13, batch_size=4)
     assert np.array_equal(counts, ref_counts)
     assert np.array_equal(res.flash_counts, ref_counts)
@@ -406,6 +365,40 @@ def test_lockstep_rows_match_primitive_reference_loop(case):
     assert np.max(np.abs(res.rho.entries - direct.entries)) < 1e-14
     if "box" in case:
         assert wrapped > 0
+
+
+def _count_min_image(monkeypatch) -> list:
+    """Patch ``GridSpec.min_image`` to log each call; returns the log."""
+    calls = []
+    min_image = GridSpec.min_image
+
+    def counted(self, d):
+        calls.append(d.shape)
+        return min_image(self, d)
+
+    monkeypatch.setattr(GridSpec, "min_image", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["1d-one-particle-gravity", "3d-small-box"])
+def test_lockstep_wraps_flash_offsets_once_per_round(case, monkeypatch):
+    # the collapse and the kick share one GridSpec.offsets per flash round
+    psi0, params, cfg = _STEPPER_CASES[case]
+    assert params.G != 0.0
+    calls = _count_min_image(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the small box's tails reach the edge
+        _, counts, _ = _lockstep(psi0, params, cfg, 13, range(10))
+    # every running row flashes in each round but its last
+    assert counts.max() > 1
+    assert len(calls) == counts.max()
+
+
+def test_kernel_tables_wrap_flash_offsets_once(monkeypatch):
+    psi0, params, cfg = _STEPPER_CASES["1d-one-particle-gravity"]
+    calls = _count_min_image(monkeypatch)
+    _kernel_tables(psi0.grid, params, cfg.softening_for(psi0.grid))
+    assert len(calls) == 1
 
 
 def test_trajectory_error_names_the_null_flash():
@@ -491,7 +484,7 @@ def test_batch_reduction_matches_outer_product_reference(b, monkeypatch):
     for n_rows in (1, 2, 63, 64):
         v = rng.normal(size=(n_rows, b)) + 1j * rng.normal(size=(n_rows, b))
         monkeypatch.setattr(dynamics, "_lockstep", lambda *args: (
-            v, np.zeros(n_rows, dtype=int), None, None))
+            v, np.zeros(n_rows, dtype=int), None))
         [(packed, abs2, _, _)] = dynamics._trajectory_batch(
             (psi0, None, None, 0, [(0, n_rows)]))
         proj = dynamics._unpack(packed)

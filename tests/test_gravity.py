@@ -8,11 +8,37 @@ from scipy import integrate
 from grwflash.gravity import (
     apply_gravitational_kick,
     phase_profile,
+    profile_shape,
     smeared_newton_gradient,
     smeared_newton_potential,
+    softened_inverse_distance,
 )
 from grwflash.state import GridSpec, WaveFunction, make_gaussian_packet, normalize, position_density
 from grwflash.units import PhysicalParams, Smearing, dimensionless_params
+
+
+def _per_axis_profile_shape(grid, x_f, params, softening):
+    """The kick profile with one minimum-image loop of its own, axis by axis."""
+    lead = x_f.shape[:-1]
+    r2 = None
+    for a, xa in enumerate(grid.axes()):
+        d2 = grid.min_image(xa - x_f[..., a, None]) ** 2
+        r2 = d2 if r2 is None else r2[..., None] + d2.reshape(lead + (1,) * a + (-1,))
+    r = np.sqrt(r2)
+    if params.smearing.kind != "sharp":
+        return smeared_newton_potential(r, params.smearing.width)
+    return softened_inverse_distance(r, softening)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("smearing", [Smearing.sharp(), Smearing.gaussian(0.6)])
+def test_profile_shape_from_offsets_is_bitwise_the_per_axis_loop(dim, smearing):
+    grid = GridSpec.centered(dim, 8, 0.45)
+    params = dimensionless_params(lam=1.0, r_G=0.2, smearing=smearing)
+    rng = np.random.default_rng(dim)
+    for x_f in (rng.uniform(-4.0, 4.0, size=dim), rng.uniform(-4.0, 4.0, size=(6, dim))):
+        out = profile_shape(grid.offsets(x_f), params, 0.2)
+        assert np.array_equal(out, _per_axis_profile_shape(grid, x_f, params, 0.2))
 
 
 def test_potential_far_field():

@@ -64,6 +64,20 @@ def test_grid_min_image_and_wrap_ranges():
     assert np.array_equal(g.min_image(np.array([0.25, -0.5, 1.75])), [0.25, -0.5, 1.75])
 
 
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("lead", [(), (5,)])
+def test_grid_offsets_are_min_image_displacements_on_their_axis(dim, lead):
+    g = GridSpec(dim, 8, 0.5, (-2.0, 0.0, 1.0)[:dim])
+    x_f = np.random.default_rng(dim).uniform(-9.0, 9.0, size=lead + (dim,))
+    offsets = g.offsets(x_f)
+    assert len(offsets) == dim
+    for a, d in enumerate(offsets):
+        ref = g.min_image(g.axis(a) - x_f[..., a, None])
+        assert d.shape == lead + (1,) * a + (8,) + (1,) * (dim - 1 - a)
+        assert np.array_equal(d.reshape(ref.shape), ref)
+    assert np.broadcast_shapes(*(d.shape for d in offsets)) == lead + (8,) * dim
+
+
 def _cell_shapes(dim, m):
     """A whole particle cell, and each single-axis view of one."""
     yield (m,) * dim

@@ -133,8 +133,6 @@ NON_FINITE_FIELDS = {
     "total_time": ("total_time", lambda v: EvolutionConfig(total_time=v)),
     "softening": ("softening",
                   lambda v: EvolutionConfig(total_time=1.0, softening=v)),
-    "snapshot_times": ("snapshot",
-                       lambda v: EvolutionConfig(total_time=1.0, snapshot_times=(v,))),
     "spacing": ("spacing", lambda v: GridSpec(1, 8, v, (0.0,))),
     "origin": ("origin", lambda v: GridSpec(3, 8, 0.5, (0.0, v, 0.0))),
     "width": ("width", lambda v: Smearing.gaussian(v)),
