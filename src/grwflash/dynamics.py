@@ -47,10 +47,10 @@ periodic grid by an integer, so K_k is unchanged when every particle
 shifts by one grid step: it is built from its M^(2n-1) distinct values,
 M = n_points^dim, not as a dense b x b product.  With H0 = 0 the whole
 generator is elementwise and rho_T = exp(T lam (sum_k K_k - N)) o rho_0
-is exact for any particle count.  A kinetic H0 adds the commutator, whose
-exact flow is one FFT pair around a phase; the oracle composes the two
-exact flows by a Yoshida triple jump of Strang stages, doubling the step
-count to tolerance.
+is exact for any particle count.  A kinetic H0 adds the commutator, one
+FFT pair around a real filter; the oracle applies exp(T L) of the whole
+generator L as a fixed number of truncated Taylor steps, their count set in
+advance from a bound on the norm of L, exact to rounding.
 Both engines run one discrete model on the periodic box of ``GridSpec``:
 every flash distance, in the collapse factor, the kick and the kernels, is
 a minimum-image distance, and trajectories draw flash positions from the
@@ -646,6 +646,10 @@ def flash_quadrature_grid(grid: GridSpec, params: PhysicalParams, softening: flo
     return fine.points(), fine.cell_volume
 
 
+# Elements of v (M^n rows x flash nodes) in one block of ``_kernel_tables``.
+KERNEL_TABLE_ELEMENTS = 2**20
+
+
 def _kernel_tables(
     grid: GridSpec, params: PhysicalParams, softening: float
 ) -> list[np.ndarray]:
@@ -659,25 +663,32 @@ def _kernel_tables(
     x_f = f, from one set of ``GridSpec.offsets`` over the nodes: the
     localizer ``collapse_factor`` on particle k and
     exp(i r_G(k, l) ``profile_shape``) on every particle l.
-    ``_expand`` recovers every other row from these.
+    ``_expand`` recovers every other row from these.  The nodes go in
+    blocks of KERNEL_TABLE_ELEMENTS // M^n (at least one), the first
+    block's product assigned and the others added, so memory is bounded.
     """
     n = params.n_particles
     nodes, weight = flash_quadrature_grid(grid, params, softening)
-    n_nodes, m = nodes.shape[0], grid.basis_size
-    # (F, M) as trajectories evaluate them; C-ordered (M, F) rows build v.
-    offsets = grid.offsets(nodes)
-    loc = collapse_factor(offsets, params.r_C).reshape(n_nodes, m).T.copy()
-    profile = profile_shape(offsets, params, softening)
-    profile = profile.reshape(n_nodes, m).T.copy()
+    m = grid.basis_size
+    per_block = max(1, KERNEL_TABLE_ELEMENTS // m ** n)
     r_gm = params.r_G_matrix()
-    tables = []
-    for k in range(n):
-        # Tensor over particles: v[I, f] with I the joint C-order index.
-        v = np.ones((1, n_nodes), dtype=np.complex128)
-        for l in range(n):
-            factor = np.exp(1j * r_gm[k, l] * profile) * (loc if l == k else 1.0)
-            v = (v[:, None, :] * factor[None, :, :]).reshape(-1, n_nodes)
-        tables.append(weight * (v[:m ** (n - 1)] @ v.conj().T))
+    tables = [None] * n
+    for start in range(0, nodes.shape[0], per_block):
+        block = nodes[start:start + per_block]
+        n_nodes = block.shape[0]
+        # (F, M) as trajectories evaluate them; C-ordered (M, F) rows build v.
+        offsets = grid.offsets(block)
+        loc = collapse_factor(offsets, params.r_C).reshape(n_nodes, m).T.copy()
+        profile = profile_shape(offsets, params, softening)
+        profile = profile.reshape(n_nodes, m).T.copy()
+        for k in range(n):
+            # Tensor over particles: v[I, f] with I the joint C-order index.
+            v = np.ones((1, n_nodes), dtype=np.complex128)
+            for l in range(n):
+                factor = np.exp(1j * r_gm[k, l] * profile) * (loc if l == k else 1.0)
+                v = (v[:, None, :] * factor[None, :, :]).reshape(-1, n_nodes)
+            part = weight * (v[:m ** (n - 1)] @ v.conj().T)
+            tables[k] = part if tables[k] is None else tables[k] + part
     return tables
 
 
@@ -771,35 +782,9 @@ def _commutator_filter(grid: GridSpec, params: PhysicalParams):
     return (e[:, None] - e[None, :]).reshape(grid.joint_shape(params.n_particles) * 2)
 
 
-# Yoshida's triple jump: Strang stages of w1 h, w0 h, w1 h make a 4th-order step.
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_W0 = 1.0 - 2.0 * _W1
-MASTER_TOL = 1e-8  # kinetic step doubling's tolerance, relative to max|rho0|
-
-
-def _split_flow(entries, q, filt, total_time: float, n_steps: int) -> np.ndarray:
-    """n_steps triple jumps of exp(tau Q/2) o, U(tau), exp(tau Q/2) o.
-
-    U(tau), the exact commutator flow, is an FFT pair around exp(-i tau filt).
-    Adjacent Q half-steps are merged: a stage is one FFT pair and two
-    elementwise multiplies.  The middle weight w0 < 0 amplifies coherences,
-    so positivity holds only to the splitting error.  scipy.fft transforms
-    in place (``overwrite_x``) and is imported here, off the import path.
-    """
-    from scipy import fft
-    h = total_time / n_steps
-    q = q.reshape(filt.shape)
-    edge, inner, seam = (np.exp(c * h * q) for c in (_W1 / 2, (_W1 + _W0) / 2, _W1))
-    outer, middle = (np.exp(-1j * w * h * filt) for w in (_W1, _W0))
-    rho = edge * entries.reshape(filt.shape)
-    for step in range(n_steps):
-        last = seam if step < n_steps - 1 else edge
-        for phase, damp in ((outer, inner), (middle, inner), (outer, last)):
-            rho = fft.fftn(rho, overwrite_x=True)
-            rho *= phase
-            rho = fft.ifftn(rho, overwrite_x=True)
-            rho *= damp
-    return rho.reshape(entries.shape)
+# Degree of the Taylor polynomial of exp(h L) in a kinetic master step; with
+# h ||L|| <= 4 its remainder is below 4^31/31! * 8/7 < 6.5e-16 of the input.
+TAYLOR_DEGREE = 30
 
 
 def master_evolve(
@@ -812,22 +797,23 @@ def master_evolve(
 
     With H0 = 0 the generator acts elementwise, d rho/dt = Q o rho with
     Q = lam (sum_k K_k - N), so rho_T = exp(T Q) o rho0 is exact for any
-    particle count and ``dt`` is unused.  exp(T Q) is taken on the
-    M^(2n-1) shift-invariant values of Q and gathered straight into the
-    product with rho0, one block of rows per grid point of particle 0 (see
-    ``flash_kernel_matrices``), so no b x b kernel is held.  That result is
-    returned as is: it is Hermitian to rounding whenever rho0 is, and the
-    trace it loses to the wrapped kernels belongs to the model.
+    particle count.  exp(T Q) is taken on the M^(2n-1) shift-invariant
+    values of Q and gathered straight into the product with rho0, one block
+    of rows per grid point of particle 0 (see ``flash_kernel_matrices``),
+    so no b x b kernel is held.  That result is returned as is: it is
+    Hermitian to rounding whenever rho0 is, and the trace it loses to the
+    wrapped kernels belongs to the model.
 
-    A kinetic H0 adds -(i/hbar)[H0, rho], whose exact flow is a phase in the
-    DFT basis of the ket and bra axes; ``_split_flow`` composes the two
-    exact flows, on Q gathered once from its table.  From ceil(T/dt) steps
-    (one without ``dt``) the count doubles until successive results differ
-    by at most MASTER_TOL max|rho0| and the finer one, ~15x closer to the
-    exact flow, is returned.  diag(Q) is one constant on the periodic grid
-    and the commutator is traceless, so the model's trace is
-    tr(rho0) exp(T Q[0, 0]): the result must keep it to 1e-8, and
-    Hermiticity to 1e-9, else StepControlError.
+    A kinetic H0 adds -(i/hbar)[H0, rho]: L rho = Q o rho - i ifftn(filt o
+    fftn(rho)), the real ``_commutator_filter`` between unitary FFTs, so
+    theta = max|Q| + max|filt| bounds ||L||.  exp(T L) rho0 is taken as
+    s = ceil(T theta / 4) steps of h = T/s, each the Taylor polynomial of
+    exp(h L) of degree TAYLOR_DEGREE (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33(2), 2011): exact to rounding, with no tolerance.  diag(Q) is
+    one constant on the periodic grid and the commutator is traceless, so
+    the model's trace is tr(rho0) exp(T Q[0, 0]): the result must keep it
+    to 1e-8, and Hermiticity to 1e-9, else StepControlError.  Neither path
+    reads ``dt``, kept only because perfbench's tracer reads it.
     """
     total_time = config.total_time
     if total_time == 0.0:
@@ -838,18 +824,27 @@ def master_evolve(
         decay = np.exp(total_time * table)
         return rho0.with_entries(_expand(decay, grid, n, times=rho0.entries))
 
-    tol = MASTER_TOL * float(np.max(np.abs(rho0.entries)))
-    if not math.isfinite(tol):
+    if not np.isfinite(rho0.entries).all():
         raise ValueError("rho0 has non-finite entries")
-    q = _expand(table, grid, n)
+    from scipy import fft  # in-place transforms; off the import path
     filt = _commutator_filter(grid, params)
-    n_steps = 1 if dt is None else max(1, math.ceil(total_time / dt))
-    coarse, fine = None, _split_flow(rho0.entries, q, filt, total_time, n_steps)
-    # "not <=": an overflowed (non-finite) coarse level means keep doubling
-    while coarse is None or not np.max(np.abs(fine - coarse)) <= tol:
-        n_steps *= 2
-        coarse, fine = fine, _split_flow(rho0.entries, q, filt, total_time, n_steps)
-    rho = rho0.with_entries(fine)
+    q = _expand(table, grid, n).reshape(filt.shape)
+    theta = float(np.max(np.abs(q)) + np.max(np.abs(filt)))
+    n_steps = max(1, math.ceil(total_time * theta / 4.0))
+    h = total_time / n_steps
+    hq, phase = h * q, -1j * h * filt
+    rho = rho0.entries.reshape(filt.shape).copy()
+    for _ in range(n_steps):
+        term = rho
+        for j in range(1, TAYLOR_DEGREE + 1):
+            # term <- (h/j) L term
+            spectral = fft.fftn(term)
+            spectral *= phase
+            term = hq * term
+            term += fft.ifftn(spectral, overwrite_x=True)
+            term /= j
+            rho += term
+    rho = rho0.with_entries(rho.reshape(rho0.entries.shape))
     law = rho0.trace().real * math.exp(total_time * table[0, 0].real)
     trace_drift = abs(rho.trace().real - law)
     herm_drift = float(np.max(np.abs(rho.entries - rho.entries.conj().T)))
@@ -923,7 +918,7 @@ def ensemble_vs_master_check(
         )
     _check_kernel_softening(params, config.softening_for(psi0.grid))
     result = run_ensemble(psi0, params, config, n_traj, master_seed, workers=workers)
-    # dt = T: a kinetic oracle starts from one step and doubles to tolerance
+    # master_evolve ignores dt; it is passed for perfbench's hook only
     oracle = master_evolve(pure_density(psi0), params, config, dt=config.total_time)
     td = trace_distance(result.rho, oracle)
     se = trace_distance_se(result)

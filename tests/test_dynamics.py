@@ -18,7 +18,6 @@ import grwflash
 from grwflash.collapse import apply_collapse, next_flash, rng_stream, sample_flash_position
 from grwflash.dynamics import (
     BATCH_SIZE,
-    MASTER_TOL,
     EvolutionConfig,
     StepControlError,
     TrajectoryError,
@@ -913,6 +912,41 @@ def test_sharp_3d_kernel_tables_hold_no_displacement_array():
     assert peak < 160 * 2**20
 
 
+def test_kernel_tables_in_node_blocks_match_one_block(monkeypatch):
+    # a budget of 5 x 12^2 tensor elements per block: 96 flash nodes in 20
+    # blocks (the last of one node) sum to the one-block tables
+    import grwflash.dynamics as dynamics
+
+    grid = GridSpec(1, 12, 0.5, (-3.0,))
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 1.5))
+    whole = _kernel_tables(grid, params, 0.25)
+    monkeypatch.setattr(dynamics, "KERNEL_TABLE_ELEMENTS", 5 * 12**2)
+    calls = _count_min_image(monkeypatch)
+    blocked = _kernel_tables(grid, params, 0.25)
+    assert len(calls) == 96 // 5 + 1
+    for got, ref in zip(blocked, whole):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_sharp_3d_kernel_tables_are_built_in_bounded_blocks():
+    # F = 48^3 = 110,592 flash nodes against M = 216 grid points: the whole
+    # (M, F) factors and complex v in one block would need over 700 MiB;
+    # blocks of KERNEL_TABLE_ELEMENTS peak at 75 MiB under tracemalloc
+    grid = GridSpec(3, 6, 0.5, (-1.25,))
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0,))
+    assert flash_quadrature_grid(grid, params, 0.25)[0].shape[0] == 110_592
+    tracemalloc.start()
+    try:
+        tables = _kernel_tables(grid, params, 0.25)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tables[0].shape == (1, 216)
+    # K[I, I] = erf(L / 2 r_C)^3 on the L = 3 r_C box, to the node rule
+    assert abs(tables[0][0, 0] - math.erf(1.5) ** 3) < 1e-3
+    assert peak < 96 * 2**20
+
+
 def test_kernel_matrix_needs_softening_in_sharp_mode():
     for r_G in (0.3, 0.0):
         params = dimensionless_params(lam=1.0, r_G=r_G)
@@ -1072,7 +1106,7 @@ def test_master_evolve_zero_time_is_identity():
 
 
 def test_master_evolve_kinetic_split_flow_matches_superoperator_exponential():
-    # kinetic H0 with lam = 1: the split flow of master_evolve against expm
+    # kinetic H0 with lam = 1: the Taylor flow of master_evolve against expm
     # of the full generator Q o rho - i[H0, rho] acting on the flattened rho
     grid = GridSpec.centered(1, 24, 0.5)
     params = dimensionless_params(lam=1.0, r_G=0.3)
@@ -1091,11 +1125,11 @@ def test_master_evolve_kinetic_split_flow_matches_superoperator_exponential():
     # default step, and an explicit finer one
     for dt in (None, 1e-3):
         out = master_evolve(rho0, params, cfg, dt=dt)
-        assert np.max(np.abs(out.entries - ref)) < 1e-8 * scale
+        assert np.max(np.abs(out.entries - ref)) < 1e-12 * scale
 
 
 def test_master_evolve_kinetic_two_particles_match_superoperator_exponential():
-    # two particles of different mass: the split flows against expm of the
+    # two particles of different mass: the Taylor flow against expm of the
     # full 1296 x 1296 generator, H0 built densely per particle axis
     grid = GridSpec.centered(1, 6, 0.8)
     masses, hbar = (1.0, 2.0), 1.3
@@ -1115,9 +1149,21 @@ def test_master_evolve_kinetic_two_particles_match_superoperator_exponential():
     scale = np.max(np.abs(rho0.entries))
     assert np.max(np.abs(ref - rho0.entries)) > 0.1 * scale
     out = master_evolve(rho0, params, cfg)
-    assert np.max(np.abs(out.entries - ref)) < 1e-8 * scale
-    # positivity holds to the splitting error: w0 < 0 amplifies coherences
-    assert float(np.min(out.eigenvalues())) >= -MASTER_TOL * scale
+    assert np.max(np.abs(out.entries - ref)) < 1e-12 * scale
+    # positivity to rounding (the smallest eigenvalue is about +0.016 scale)
+    assert float(np.min(out.eigenvalues())) >= -1e-12 * scale
+
+
+def test_master_evolve_kinetic_ignores_dt():
+    # the Taylor step count comes from the generator's norm bound, not dt
+    grid = GridSpec.centered(1, 24, 0.5)
+    params = dimensionless_params(lam=1.0, r_G=0.3)
+    rho0 = pure_density(make_gaussian_packet(grid, 1, [[0.5]], [1.0], [[1.5]]))
+    cfg = EvolutionConfig(total_time=1.0, hamiltonian="kinetic")
+    ref = master_evolve(rho0, params, cfg)
+    for dt in (cfg.total_time, 1e-3):
+        out = master_evolve(rho0, params, cfg, dt=dt)
+        assert np.array_equal(out.entries, ref.entries)
 
 
 def test_master_evolve_kinetic_trace_follows_wrapped_kernel_law():
@@ -1226,7 +1272,7 @@ def test_verify_check_runs_on_8_rc_box():
 
 def test_verify_check_kinetic_trajectories_match_oracle():
     # a moving, spreading packet: trajectories with exact free flight
-    # against the split-flow oracle with the FFT commutator
+    # against the Taylor-flow oracle with the FFT commutator
     grid = GridSpec.centered(1, 32, 0.4)
     params = dimensionless_params(lam=1.0, r_G=0.3)
     psi0 = make_gaussian_packet(grid, 1, [[0.0]], [1.0], [[1.0]])
@@ -1243,7 +1289,7 @@ def test_verify_check_kinetic_trajectories_match_oracle():
 
 def test_verify_check_two_particle_kinetic_trajectories_match_oracle():
     # two particles of different mass flying apart, b = 400: lockstep
-    # trajectories against the split-flow oracle
+    # trajectories against the Taylor-flow oracle
     grid = GridSpec.centered(1, 20, 0.5)
     masses = (1.0, 2.0)
     params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=masses)
