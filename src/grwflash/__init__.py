@@ -11,14 +11,12 @@ __version__ = "0.1.0"
 from .analysis import (
     DriftEstimate,
     KernelPoint,
-    KernelResult,
     QuadratureSpec,
     RegimeError,
     ScanResult,
     SlopeFit,
     classical_limit_force,
     effective_potential_check,
-    evaluate_kernel,
     excess_rate,
     falsifiability_scan,
     gamma_at_separation,

@@ -86,25 +86,6 @@ class KernelPoint:
     n_evals: int
 
 
-@dataclass(frozen=True)
-class KernelResult:
-    """Gamma evaluated on a list of position pairs, with error bounds."""
-
-    pairs: tuple
-    values: np.ndarray
-    error_estimates: np.ndarray
-    quadrature_spec: QuadratureSpec
-
-    def validate(self) -> list[str]:
-        diags = []
-        for (x, y), v, e in zip(self.pairs, self.values, self.error_estimates):
-            if abs(v) > 1.0 + e:
-                diags.append(f"|Gamma|={abs(v):.12g} exceeds 1+error at pair {x},{y}")
-            if np.allclose(x, y) and abs(v - 1.0) > e:
-                diags.append(f"Gamma(x,x) != 1 within error at {x}")
-        return diags
-
-
 # Kernel points kept at most; past it the oldest insertion goes first, so a
 # long scan holds bounded memory while a table's repeated points still hit.
 KERNEL_CACHE_SIZE = 4096
@@ -247,24 +228,6 @@ def gamma_deficit(
     value, err, n = _kernel_quadrature(delta, eps, spec, deficit=True)
     damp = math.exp(-(delta**2) / 4.0)
     return KernelPoint(damp * value, damp * err, n)
-
-
-def evaluate_kernel(
-    pairs, params: PhysicalParams, spec: QuadratureSpec = QuadratureSpec()
-) -> KernelResult:
-    """Gamma on a list of (x, y) pairs as a KernelResult."""
-    values = []
-    errors = []
-    for x, y in pairs:
-        pt = gamma_kernel(x, y, params, spec)
-        values.append(pt.value)
-        errors.append(pt.error)
-    return KernelResult(
-        pairs=tuple((tuple(np.atleast_1d(x)), tuple(np.atleast_1d(y))) for x, y in pairs),
-        values=np.array(values),
-        error_estimates=np.array(errors),
-        quadrature_spec=spec,
-    )
 
 
 def intrinsic_rate(separation: float, params: PhysicalParams) -> float:
@@ -518,22 +481,36 @@ class DriftEstimate:
 def self_attraction_probe(ensemble_result, psi0) -> DriftEstimate:
     """Drift of <x> for a symmetric superposition; the model predicts zero.
 
-    ``ensemble_result`` must carry per-trajectory final mean positions (see
-    dynamics.run_ensemble).  psi0 must be symmetric: its position density
-    even about its mean to 1e-8, otherwise the probe is undefined.
+    Read from the ensemble's ``position_sums`` (the sums of <x> and <x>^2
+    over its final states, see dynamics.run_ensemble) and ``n_traj``.  psi0
+    must be symmetric: particle 0's position density even about its mean
+    to 1e-8 on the periodic box, otherwise the probe is undefined.  The
+    reflection about the mean maps the grid onto itself only when the mean
+    sits on a grid point or a midpoint; any other mean is refused too.
     """
     from .state import expectation_position, position_density
 
+    grid = psi0.grid
     dens = position_density(psi0, 0)
-    for axis in range(dens.ndim):
-        if not np.allclose(dens, np.flip(dens, axis=axis), atol=1e-8):
-            raise ValueError("asymmetric initial state: probe undefined")
     x0 = expectation_position(psi0, 0)
-    pos = ensemble_result.particle_means(0)
-    n = pos.shape[0]
-    drift = pos.mean(axis=0) - x0
-    se = pos.std(axis=0, ddof=1) / math.sqrt(n)
-    return DriftEstimate(drift=drift, std_error=se, n_traj=n)
+    for axis in range(dens.ndim):
+        centre = grid.origin[axis] + grid.spacing * (grid.n_points - 1) / 2.0
+        shift = 2.0 * (x0[axis] - centre) / grid.spacing
+        steps = round(shift)
+        if abs(shift - steps) > 1e-8:
+            raise ValueError(
+                f"asymmetric initial state: its mean {x0[axis]:.12g} on axis "
+                f"{axis} is neither a grid point nor a midpoint; probe undefined"
+            )
+        mirror = np.roll(np.flip(dens, axis=axis), steps, axis=axis)
+        if not np.allclose(dens, mirror, atol=1e-8):
+            raise ValueError("asymmetric initial state: probe undefined")
+    n = ensemble_result.n_traj
+    total, squares = ensemble_result.position_sums[:, 0]
+    mean = total / n
+    var = np.maximum(squares - total * mean, 0.0) / (n - 1)
+    se = np.sqrt(var) / math.sqrt(n)
+    return DriftEstimate(drift=mean - x0, std_error=se, n_traj=n)
 
 
 @dataclass(frozen=True)

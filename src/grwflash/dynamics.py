@@ -373,27 +373,27 @@ class EnsembleResult:
 
     Trajectories run in fixed batches (independent of worker count),
     advanced in lockstep groups of consecutive batches, each batch reduced
-    to its projector and |.|^2 sums by BLAS products.  ``split_sums[s]`` is
-    the projector sum over the batches whose index has bit s clear, for
-    s < floor(log2(len(batch_sizes))): the half-split sums that feed the
-    trace-distance noise estimate, accumulated while the run goes, so
-    memory does not grow with the batch count.  Each is packed, one real
-    b x b array with Re on and above the diagonal and Im below it
+    to sums that are added in batch-index order: its projector and |.|^2
+    sums by BLAS products, and ``position_sums``, whose [0] and [1] are the
+    sums of <x> and <x>^2 over the final states, per particle and axis.
+    ``split_sums[s]`` is the projector sum over the batches whose index has
+    bit s clear, for s < floor(log2(len(batch_sizes))): the half-split sums
+    that feed the trace-distance noise estimate, accumulated while the run
+    goes, so memory does not grow with the batch count.  Each is packed, one
+    real b x b array with Re on and above the diagonal and Im below it
     (``_unpack`` gives the complex sum).  ``entry_se`` is the
     elementwise Monte Carlo standard error of the density-matrix entries.
+    ``flash_counts`` holds one count per trajectory.
     """
 
     rho: DensityMatrix
     flash_counts: np.ndarray
-    mean_positions: np.ndarray       # (n_traj, n_particles, dim), final states
+    position_sums: np.ndarray        # (2, n_particles, dim)
     entry_se: np.ndarray
     split_sums: np.ndarray
     batch_sizes: np.ndarray
     n_traj: int
     master_seed: int
-
-    def particle_means(self, k: int = 0) -> np.ndarray:
-        return self.mean_positions[:, k, :]
 
 
 BATCH_SIZE = 64  # trajectories per reduction batch, whatever the worker count
@@ -421,7 +421,8 @@ def _position_means(prob: np.ndarray, grid: GridSpec, n_particles: int):
 
 def _trajectory_batch(args):
     """Lockstep-run a group of consecutive batches together; reduce each batch
-    to its projector and |.|^2 sums, its flash counts and position means."""
+    to its flash counts and its sums: the packed projector sum, the |.|^2 sum
+    and the sums of <x> and <x>^2 per particle and axis."""
     psi0, params, config, master_seed, bounds = args
     first = bounds[0][0]
     final, counts, _ = _lockstep(
@@ -435,7 +436,8 @@ def _trajectory_batch(args):
         means = _position_means(
             a.reshape(final[rows].shape), psi0.grid, psi0.n_particles
         )
-        out.append((_projector_sum(v), a.T @ a, counts[rows], means))
+        positions = np.stack([means.sum(axis=0), (means**2).sum(axis=0)])
+        out.append((counts[rows], _projector_sum(v), a.T @ a, positions))
     return out
 
 
@@ -552,20 +554,20 @@ def run_ensemble(
     n_splits = len(bounds).bit_length() - 1
     outer_total = np.zeros((b, b))
     abs2_total = np.zeros((b, b))
+    position_sums = np.zeros((2, psi0.n_particles, psi0.grid.dim))
     split_sums = np.zeros((n_splits, b, b))
     counts = []
-    means = []
     index = 0
-    for outer_sum, abs2_sum, cnt, mean in _batches(tasks, workers):
-        outer_total += outer_sum
-        abs2_total += abs2_sum
+    # no enumerate: it would hold the last batch while the next is computed
+    for cnt, *sums in _batches(tasks, workers):
+        counts.append(cnt)
+        for total, part in zip((outer_total, abs2_total, position_sums), sums):
+            total += part
         for s in range(n_splits):
             if not (index >> s) & 1:
-                split_sums[s] += outer_sum
-        counts.append(cnt)
-        means.append(mean)
+                split_sums[s] += sums[0]
         # free this batch's sums before the generator computes the next
-        del outer_sum, abs2_sum
+        del sums
         index += 1
 
     # scaled by 1.0 / n, not divided by n: numpy divides a complex array by
@@ -583,7 +585,7 @@ def run_ensemble(
     return EnsembleResult(
         rho=rho,
         flash_counts=np.concatenate(counts),
-        mean_positions=np.concatenate(means, axis=0),
+        position_sums=position_sums,
         entry_se=entry_se,
         split_sums=split_sums,
         batch_sizes=np.array([e - s for s, e in bounds]),
@@ -598,25 +600,26 @@ def trace_distance_se(result: EnsembleResult) -> float:
     Disjoint half-ensembles A and B are compared: rho_A - rho_B has twice
     the statistical error of the full mean, so TD(A, B)/2 estimates the
     expected trace distance between the full ensemble and the infinite-n
-    limit.  The floor(log2 m) splits by batch-index bit are averaged; B is
-    the full sum less A.
+    limit.  The floor(log2 m) splits by batch-index bit are averaged.  Each
+    is read from its packed sum S_A: with rho_B = (n rho - S_A)/n_b,
+    (n_b/n)(rho_A - rho_B) = S_A (n_b/(n n_a) + 1/n) - rho, exactly
+    Hermitian as both terms are, so one complex b x b array per split is
+    built and handed to ``eigvalsh``.
     """
     sizes = result.batch_sizes
     if len(sizes) < 2:
         raise ValueError("need at least two batches for a split estimate")
-    grid, n_part = result.rho.grid, result.rho.n_particles
-    total = result.rho.entries * result.n_traj
+    n = result.n_traj
     estimates = []
     for s, packed in enumerate(result.split_sums):
         n_a = sizes[(np.arange(len(sizes)) >> s) & 1 == 0].sum()
-        rho_a = _unpack(packed)            # sum_A, until divided by n_a
-        rho_b = total - rho_a
-        rho_b /= result.n_traj - n_a
-        rho_a /= n_a
-        td = trace_distance(
-            DensityMatrix(grid, n_part, rho_a), DensityMatrix(grid, n_part, rho_b)
+        n_b = n - n_a
+        diff = _unpack(packed, n_b / (n * n_a) + 1.0 / n)
+        diff -= result.rho.entries
+        eig = np.linalg.eigvalsh(diff)
+        estimates.append(
+            0.25 * np.sum(np.abs(eig)) * (n / n_b) * result.rho.volume_element
         )
-        estimates.append(td / 2.0)
     return float(np.mean(estimates))
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from grwflash.analysis import (
     RegimeError,
     classical_limit_force,
     effective_potential_check,
-    evaluate_kernel,
     excess_rate,
     falsifiability_scan,
     gamma_at_separation,
@@ -105,11 +105,10 @@ def test_gamma_realness_and_bound():
         x = rng.uniform(-2, 2, size=3)
         y = x + rng.uniform(-1.5, 1.5, size=3)
         pairs.append((x, y))
-    result = evaluate_kernel(pairs, params, spec)
-    assert result.validate() == []
-    for v, e in zip(result.values, result.error_estimates):
-        assert abs(v.imag) <= e
-        assert abs(v) <= 1.0 + e
+    for x, y in pairs:
+        pt = gamma_kernel(x, y, params, spec)
+        assert abs(pt.value.imag) <= pt.error
+        assert abs(pt.value) <= 1.0 + pt.error
 
 
 # (r_G, separation) -> (Gamma, reported error) from the adaptive
@@ -457,20 +456,56 @@ def test_excess_dominates_intrinsic_at_short_distance():
     assert ratios[0] < ratios[1] < ratios[2]
 
 
+def _probe_ensemble(means):
+    # an ensemble's sums of <x> and <x>^2 for one particle in 1D
+    means = np.asarray(means, dtype=float).reshape(-1, 1, 1)
+    return SimpleNamespace(n_traj=len(means),
+                           position_sums=np.stack([means.sum(axis=0),
+                                                   (means**2).sum(axis=0)]))
+
+
 def test_probe_rejects_asymmetric_state():
+    from grwflash.state import GridSpec, WaveFunction, normalize
+
+    # masses 2/3 at -2 and 1/3 at +4: the mean is the grid centre, where a
+    # reflection maps the grid onto itself, but the density is not even
+    grid = GridSpec.centered(1, 64, 0.25)
+    x = grid.axis(0)
+    amps = (np.sqrt(2.0) * np.exp(-((x + 2.0) ** 2) / (2 * 0.5**2))
+            + np.exp(-((x - 4.0) ** 2) / (2 * 0.5**2)))
+    psi = normalize(WaveFunction(grid, 1, amps))
+    with pytest.raises(ValueError, match="asymmetric initial state: probe undefined"):
+        self_attraction_probe(_probe_ensemble(np.zeros(4)), psi)
+
+
+def test_probe_rejects_mean_off_the_grid_and_its_midpoints():
+    # a lone packet at 0.3 is even about its mean, but reflecting the grid
+    # about 0.3 shifts it by 2.4 steps, off the grid
     from grwflash.state import GridSpec, make_gaussian_packet
 
     grid = GridSpec.centered(1, 64, 0.25)
-    psi = make_gaussian_packet(grid, 1, [[0.5]], [1.0])
+    psi = make_gaussian_packet(grid, 1, [[0.3]], [1.0])
+    with pytest.raises(ValueError, match="neither a grid point nor a midpoint"):
+        self_attraction_probe(_probe_ensemble(np.zeros(4)), psi)
 
-    class Dummy:
-        mean_positions = np.zeros((4, 1, 1))
 
-        def particle_means(self, k=0):
-            return self.mean_positions[:, 0, :]
+def test_probe_accepts_state_even_about_an_off_centre_mean():
+    # a cat at -3.5 and +4.5 is even about its mean 0.5, 2 grid steps right
+    # of the grid centre: reflected about the centre it is not
+    from grwflash.state import GridSpec, WaveFunction, expectation_position, normalize
 
-    with pytest.raises(ValueError, match="asymmetric"):
-        self_attraction_probe(Dummy(), psi)
+    grid = GridSpec.centered(1, 64, 0.25)
+    x = grid.axis(0)
+    amps = (np.exp(-((x + 3.5) ** 2) / (2 * 0.8**2))
+            + np.exp(-((x - 4.5) ** 2) / (2 * 0.8**2)))
+    psi = normalize(WaveFunction(grid, 1, amps))
+    x0 = expectation_position(psi, 0)
+    assert abs(x0[0] - 0.5) < 1e-9     # the tails the box cuts off
+    means = [0.5, 0.75, 0.25, 0.5, 0.5]
+    probe = self_attraction_probe(_probe_ensemble(means), psi)
+    assert probe.n_traj == 5
+    assert abs(probe.drift[0] - (np.mean(means) - x0[0])) < 1e-15
+    assert abs(probe.std_error[0] - np.std(means, ddof=1) / math.sqrt(5)) < 1e-15
 
 
 def test_quadrature_spec_validation():

@@ -443,21 +443,47 @@ def test_ensemble_matches_density_from_ensemble():
     assert np.max(np.abs(res.rho.entries - direct.entries)) < 1e-14
 
 
-def test_ensemble_mean_positions_match_expectation_position():
-    # the stacked first moments of run_ensemble against the single-state
-    # expectation_position of each trajectory's final state
+def test_ensemble_position_sums_match_expectation_position():
+    # the sums of <x> and <x>^2 that run_ensemble adds batch by batch,
+    # against the single-state expectation_position of each trajectory's
+    # final state, summed per batch and then in batch order
     psi0, params, cfg = _STEPPER_CASES["1d-two-kinetic-particles"]
-    n_traj = 6
+    n_traj, batch_size = 6, 4
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the packets' tails reach the edge
-        res = run_ensemble(psi0, params, cfg, n_traj, master_seed=13, batch_size=4)
+        res = run_ensemble(psi0, params, cfg, n_traj, master_seed=13,
+                           batch_size=batch_size)
         finals = [run_trajectory(psi0, params, cfg, seed, 13).final_state
                   for seed in range(n_traj)]
-    assert res.mean_positions.shape == (n_traj, 2, 1)
-    for seed, final in enumerate(finals):
-        for k in range(2):
-            assert np.array_equal(res.mean_positions[seed, k],
-                                  expectation_position(final, k))
+    means = np.array([[expectation_position(final, k) for k in range(2)]
+                      for final in finals])
+    expected = np.zeros((2, 2, 1))
+    for start in range(0, n_traj, batch_size):
+        batch = means[start:start + batch_size]
+        expected += np.stack([batch.sum(axis=0), (batch**2).sum(axis=0)])
+    assert res.position_sums.shape == (2, 2, 1)
+    assert np.array_equal(res.position_sums, expected)
+
+
+def test_ensemble_fields_do_not_grow_with_trajectory_count():
+    # 9 and 90 trajectories in three batches each: batch_sizes and
+    # split_sums follow the batch count, so only flash_counts may grow
+    import dataclasses
+
+    params = dimensionless_params(lam=1.0, r_G=0.2)
+    cfg = EvolutionConfig(total_time=1.0)
+    sizes = []
+    for n_traj in (9, 90):
+        res = run_ensemble(packet(), params, cfg, n_traj, master_seed=2,
+                           batch_size=n_traj // 3)
+        sizes.append({
+            f.name: np.asarray(getattr(res, f.name).entries
+                               if f.name == "rho" else getattr(res, f.name)).nbytes
+            for f in dataclasses.fields(res)
+        })
+    small, large = sizes
+    assert large.pop("flash_counts") == 10 * small.pop("flash_counts")
+    assert large == small
 
 
 def test_ensemble_worker_count_invariance():
@@ -479,12 +505,13 @@ def test_batch_reduction_matches_outer_product_reference(b, monkeypatch):
 
     rng = np.random.default_rng(b)
     psi0 = SimpleNamespace(grid=None, n_particles=1)
-    monkeypatch.setattr(dynamics, "_position_means", lambda *args: None)
+    monkeypatch.setattr(dynamics, "_position_means",
+                        lambda prob, grid, n: np.zeros((len(prob), n, 1)))
     for n_rows in (1, 2, 63, 64):
         v = rng.normal(size=(n_rows, b)) + 1j * rng.normal(size=(n_rows, b))
         monkeypatch.setattr(dynamics, "_lockstep", lambda *args: (
             v, np.zeros(n_rows, dtype=int), None))
-        [(packed, abs2, _, _)] = dynamics._trajectory_batch(
+        [(_, packed, abs2, _)] = dynamics._trajectory_batch(
             (psi0, None, None, 0, [(0, n_rows)]))
         proj = dynamics._unpack(packed)
         a = np.abs(v) ** 2
@@ -551,6 +578,28 @@ def test_ensemble_memory_is_bounded():
     assert peak < 9 * b * b * 8
 
 
+def test_trace_distance_se_memory_is_bounded():
+    # b = 1024 and 130 trajectories, one split: the noise floor builds one
+    # complex b x b difference (16 MiB) beside the ensemble's own arrays;
+    # a complex total, rho_A, rho_B and trace_distance's difference, its
+    # transpose and symmetrization reached 96 MiB
+    grid = GridSpec.centered(1, 32, 0.5)
+    x = grid.axis(0)
+    cat = np.exp(-(x - 2) ** 2 / 2) + np.exp(-(x + 2) ** 2 / 2)
+    psi0 = normalize(WaveFunction(grid, 2, np.multiply.outer(cat, np.exp(-x**2 / 2))))
+    params = PhysicalParams(lam=1.0, r_C=1.0, G=0.3, hbar=1.0, masses=(1.0, 1.0))
+    res = run_ensemble(psi0, params, EvolutionConfig(total_time=1.0), 130, 1)
+    assert res.rho.entries.shape == (1024, 1024) and len(res.split_sums) == 1
+    tracemalloc.start()
+    try:
+        se = trace_distance_se(res)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert se > 0.0
+    assert peak < 32 * 2**20
+
+
 _BLAS_PROBE = """
 import hashlib
 import numpy as np
@@ -590,7 +639,7 @@ def test_ensemble_is_bitwise_independent_of_blas_threads():
 
 
 def _ensemble_fields(res):
-    return (res.rho.entries, res.entry_se, res.flash_counts, res.mean_positions,
+    return (res.rho.entries, res.entry_se, res.flash_counts, res.position_sums,
             res.split_sums, res.batch_sizes)
 
 
